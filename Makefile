@@ -4,14 +4,15 @@
 # tier-1 verify (build + full test suite), vet, the race detector over the
 # packages that exercise the transport ownership contract, a smoke run of
 # the live/codec/TCP/shm microbenchmarks (1 iteration — catches benchmark bit-rot,
-# not performance), and the metrics-overhead gate (alloc-free increments plus
-# the <2% instrumentation bound on the live all-reduce).
+# not performance), the metrics-overhead gate (alloc-free increments plus
+# the <2% instrumentation bound on the live all-reduce), and a vet + build of
+# the perfbench module against the current library API.
 
 GO ?= go
 
-.PHONY: ci build test vet race chaos bench-smoke metrics-overhead bench bench-tcp bench-seg bench-shm bench-priority
+.PHONY: ci build test vet race chaos bench-smoke metrics-overhead perfbench-build bench bench-tcp bench-seg bench-shm bench-priority
 
-ci: vet build test race chaos bench-smoke metrics-overhead
+ci: vet build test race chaos bench-smoke metrics-overhead perfbench-build
 
 build:
 	$(GO) build ./...
@@ -33,10 +34,11 @@ race:
 # across the mem and TCP transports, under the race detector, with
 # hang-freedom, pool-balance and goroutine-balance enforced per seed.
 # Reproduce one failure with: go test -race -run 'TestChaosSoakMem/seed=K' ./collective/
-# The engine package contributes the priority-scheduler kill scenario (a rank
-# dies mid-preemption; survivors classify the error and leak nothing).
+# The engine package contributes the prioritized-profile kill scenario (a rank
+# dies with units queued and in flight on every stream; survivors classify the
+# error and leak nothing) and the 2-rank slow-link dispatch hang regressions.
 chaos:
-	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort' ./collective/ ./transport/chaos/ ./engine/
+	$(GO) test -race -count=1 -short -run 'TestChaosSoak|TestAbort|TestCrossRankDispatchNoHang|TestReproYieldGateDeadlock' ./collective/ ./transport/chaos/ ./engine/
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'Live|Codec|TCP|Shm|Transport' -benchtime 1x .
@@ -48,6 +50,13 @@ bench-smoke:
 metrics-overhead:
 	$(GO) test -run TestIncrementBenchmarksAllocFree -count=1 ./metrics/
 	AIACC_OVERHEAD_GATE=1 $(GO) test -run 'TestMetricsOverheadGate|TestHeartbeatOverheadGate' -count=1 .
+
+# perfbench/ is a Go module of its own (it drives the library through its
+# public API), so the root `go build ./...` never compiles it. Vet and build it
+# here so an exported-API change that breaks the benchmark fails CI. The
+# binary is discarded; perfbench/run.sh builds its own.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # Full live-path benchmark numbers (recorded in BENCH_pr1.json and, for the
 # TCP data plane, BENCH_pr2.json).
@@ -72,8 +81,9 @@ bench-shm:
 	$(GO) run ./cmd/aiacc-bench -experiment shm-loopback -metrics=false
 	$(GO) run ./cmd/aiacc-bench -experiment hierarchy -metrics=false
 
-# Priority-scheduler live A/B (the BENCH_pr7.json numbers): scheduler off vs
-# depth=4 over the skewed (CTR-like) and uniform (BERT-like) profiles on a
-# rate-modelled slow link, with the next-forward stall as the headline metric.
+# Live streams sweep under reverse-topological packing (the BENCH_pr12.json
+# numbers): Streams 1/2/4/8 over the skewed (CTR-like) and uniform (BERT-like)
+# profiles on a rate-modelled slow link, next-forward stall as the headline
+# metric, min of 3 runs per cell.
 bench-priority:
 	$(GO) run ./cmd/aiacc-bench -experiment priority

@@ -22,7 +22,7 @@ func syntheticCost(space Space, opt Params) Evaluator {
 			d2 += d * d
 		}
 		// Mild deterministic ripple so searchers see realistic structure.
-		ripple := 0.01 * math.Sin(13*x[0]+7*x[1]+3*x[2]+5*x[3]+11*x[4]+17*x[5])
+		ripple := 0.01 * math.Sin(13*x[0]+7*x[1]+3*x[2]+5*x[3]+11*x[4])
 		return 0.1 + d2 + ripple
 	}
 }
@@ -32,8 +32,8 @@ func TestSpaceBasics(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Size() != 7*8*2*5*4*4 {
-		t.Errorf("Size = %d, want 8960", s.Size())
+	if s.Size() != 7*8*2*5*4 {
+		t.Errorf("Size = %d, want 2240", s.Size())
 	}
 	// At/Index round-trip over the full space.
 	for i := 0; i < s.Size(); i++ {
@@ -87,18 +87,18 @@ func TestNormalizeRange(t *testing.T) {
 	s := DefaultSpace()
 	for i := 0; i < s.Size(); i++ {
 		v := s.Normalize(s.At(i))
-		for d := 0; d < 6; d++ {
+		for d := range v {
 			if v[d] < 0 || v[d] > 1 {
 				t.Fatalf("Normalize(%v)[%d] = %v out of [0,1]", s.At(i), d, v[d])
 			}
 		}
 	}
-	lo := s.Normalize(Params{Streams: 1, GranularityBytes: 512 << 10, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 1, PriorityDepth: 0})
-	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8, PriorityDepth: 8})
-	if lo != [6]float64{0, 0, 0, 0, 0, 0} {
+	lo := s.Normalize(Params{Streams: 1, GranularityBytes: 512 << 10, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 1})
+	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8})
+	if lo != [5]float64{0, 0, 0, 0, 0} {
 		t.Errorf("low corner = %v", lo)
 	}
-	if hi != [6]float64{1, 1, 1, 1, 1, 1} {
+	if hi != [5]float64{1, 1, 1, 1, 1} {
 		t.Errorf("high corner = %v", hi)
 	}
 }
@@ -122,17 +122,17 @@ func TestSearchersConverge(t *testing.T) {
 				t.Errorf("Name = %q, want %q", s.Name(), name)
 			}
 			bestCost := math.Inf(1)
-			// The topology and priority-depth dimensions grew the space 16x:
-			// the lexicographic grid sweep needs enough budget to reach the
+			// The segment and topology dimensions grew the space 20x: the
+			// lexicographic grid sweep needs enough budget to reach the
 			// optimum's region, and hyperband's random sampling
 			// proportionally more draws; the model-guided searchers converge
 			// on the standard budget.
 			budget := 120
 			switch name {
 			case "grid":
-				budget = 2560
+				budget = 640
 			case "hyperband":
-				budget = 1440
+				budget = 360
 			}
 			spent := 0
 			for spent < budget {

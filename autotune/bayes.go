@@ -13,7 +13,7 @@ type Bayes struct {
 	space Space
 	rng   *rand.Rand
 
-	xs [][6]float64
+	xs [][5]float64
 	ys []float64
 
 	lengthScale float64
@@ -75,7 +75,7 @@ func (b *Bayes) Observe(prop Proposal, cost float64) {
 }
 
 // rbf is the squared-exponential kernel.
-func (b *Bayes) rbf(x, y [6]float64) float64 {
+func (b *Bayes) rbf(x, y [5]float64) float64 {
 	var d2 float64
 	for i := range x {
 		d := x[i] - y[i]
@@ -86,7 +86,7 @@ func (b *Bayes) rbf(x, y [6]float64) float64 {
 
 // fit returns posterior mean and stddev functions for the current
 // observations, or ok=false if the kernel matrix is not positive definite.
-func (b *Bayes) fit() (mu func([6]float64) float64, sigma func([6]float64) float64, ok bool) {
+func (b *Bayes) fit() (mu func([5]float64) float64, sigma func([5]float64) float64, ok bool) {
 	n := len(b.xs)
 	// Standardize targets.
 	mean := 0.0
@@ -121,14 +121,14 @@ func (b *Bayes) fit() (mu func([6]float64) float64, sigma func([6]float64) float
 	}
 	alpha := cholSolve(chol, yn)
 
-	mu = func(x [6]float64) float64 {
+	mu = func(x [5]float64) float64 {
 		var s float64
 		for i := 0; i < n; i++ {
 			s += b.rbf(x, b.xs[i]) * alpha[i]
 		}
 		return s*sd + mean
 	}
-	sigma = func(x [6]float64) float64 {
+	sigma = func(x [5]float64) float64 {
 		kx := make([]float64, n)
 		for i := 0; i < n; i++ {
 			kx[i] = b.rbf(x, b.xs[i])

@@ -26,8 +26,6 @@ var (
 		"Ring wire-pipelining segment size of the current best configuration.")
 	mBestNodeGroup = metrics.NewGauge("aiacc_autotune_best_gpus_per_node",
 		"Hierarchy node-group size of the current best configuration (1 = flat).")
-	mBestPriorityDepth = metrics.NewGauge("aiacc_autotune_best_priority_depth",
-		"Priority-scheduler class count of the current best configuration (0 = off).")
 )
 
 // armMetrics resolves the per-searcher instruments; names repeat across Meta
@@ -208,7 +206,6 @@ func (m *Meta) Tune(eval Evaluator, budget int) (Params, error) {
 			mBestGranularity.Set(prop.Params.GranularityBytes)
 			mBestSegment.Set(prop.Params.SegmentBytes)
 			mBestNodeGroup.Set(int64(prop.Params.GPUsPerNode))
-			mBestPriorityDepth.Set(int64(prop.Params.PriorityDepth))
 		}
 		m.searchers[t].Observe(prop, cost)
 		m.window = append(m.window, windowEntry{searcher: t, newBest: newBest})

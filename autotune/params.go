@@ -46,17 +46,12 @@ type Params struct {
 	// group of the two-level schedule. 1 means flat (every rank its own
 	// node — the tree degenerates to the ring); ignored by AlgoRing.
 	GPUsPerNode int
-	// PriorityDepth is the priority-scheduler class count (engine.Config.
-	// PriorityDepth): 0 disables scheduling, 1 fixes dispatch order, ≥2
-	// additionally preempts in-flight units at segment boundaries. Ring
-	// only; ignored by AlgoTree.
-	PriorityDepth int
 }
 
 // String implements fmt.Stringer.
 func (p Params) String() string {
-	return fmt.Sprintf("{streams=%d granularity=%dKiB algo=%s segment=%dKiB perNode=%d prio=%d}",
-		p.Streams, p.GranularityBytes>>10, p.Algorithm, p.SegmentBytes>>10, p.GPUsPerNode, p.PriorityDepth)
+	return fmt.Sprintf("{streams=%d granularity=%dKiB algo=%s segment=%dKiB perNode=%d}",
+		p.Streams, p.GranularityBytes>>10, p.Algorithm, p.SegmentBytes>>10, p.GPUsPerNode)
 }
 
 // Space is the discrete search space.
@@ -74,16 +69,11 @@ type Space struct {
 	// algorithm, ascending. Values that do not divide the world size are
 	// sanitized by the evaluator, not the space.
 	NodeGroups []int
-	// Depths lists candidate PriorityDepth values, ascending (0 = scheduler
-	// off). Only meaningful for AlgoRing; the engine ignores the setting
-	// under the hierarchical algorithm.
-	Depths []int
 }
 
 // DefaultSpace returns the space AIACC-Training searches in production:
 // 2-24 streams (§VIII-D), 512 KiB - 64 MiB units, ring and tree all-reduce,
-// 64 KiB - 4 MiB wire segments, node groups of 1 (flat) to 8, and priority
-// scheduler depths of 0 (off) to 8 classes.
+// 64 KiB - 4 MiB wire segments, and node groups of 1 (flat) to 8.
 func DefaultSpace() Space {
 	return Space{
 		Streams:       []int{1, 2, 4, 8, 12, 16, 24},
@@ -91,16 +81,15 @@ func DefaultSpace() Space {
 		Algorithms:    []string{AlgoRing, AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 256 << 10, 1 << 20, 4 << 20},
 		NodeGroups:    []int{1, 2, 4, 8},
-		Depths:        []int{0, 1, 4, 8},
 	}
 }
 
 // Validate checks the space is non-empty in every dimension.
 func (s Space) Validate() error {
 	if len(s.Streams) == 0 || len(s.Granularities) == 0 || len(s.Algorithms) == 0 ||
-		len(s.Segments) == 0 || len(s.NodeGroups) == 0 || len(s.Depths) == 0 {
-		return fmt.Errorf("%w: %d streams x %d granularities x %d algorithms x %d segments x %d node groups x %d depths",
-			ErrBadSpace, len(s.Streams), len(s.Granularities), len(s.Algorithms), len(s.Segments), len(s.NodeGroups), len(s.Depths))
+		len(s.Segments) == 0 || len(s.NodeGroups) == 0 {
+		return fmt.Errorf("%w: %d streams x %d granularities x %d algorithms x %d segments x %d node groups",
+			ErrBadSpace, len(s.Streams), len(s.Granularities), len(s.Algorithms), len(s.Segments), len(s.NodeGroups))
 	}
 	return nil
 }
@@ -108,16 +97,14 @@ func (s Space) Validate() error {
 // Size returns the number of points.
 func (s Space) Size() int {
 	return len(s.Streams) * len(s.Granularities) * len(s.Algorithms) * len(s.Segments) *
-		len(s.NodeGroups) * len(s.Depths)
+		len(s.NodeGroups)
 }
 
 // At returns point i in lexicographic (algorithm, streams, granularity,
-// segment, node group, depth) order; i is taken modulo Size.
+// segment, node group) order; i is taken modulo Size.
 func (s Space) At(i int) Params {
 	n := s.Size()
 	i = ((i % n) + n) % n
-	d := i % len(s.Depths)
-	i /= len(s.Depths)
 	ng := i % len(s.NodeGroups)
 	i /= len(s.NodeGroups)
 	sg := i % len(s.Segments)
@@ -133,7 +120,6 @@ func (s Space) At(i int) Params {
 		Algorithm:        s.Algorithms[a],
 		SegmentBytes:     s.Segments[sg],
 		GPUsPerNode:      s.NodeGroups[ng],
-		PriorityDepth:    s.Depths[d],
 	}
 }
 
@@ -145,14 +131,13 @@ func (s Space) Index(p Params) int {
 	a := indexOfString(s.Algorithms, p.Algorithm)
 	sg := indexOfInt64(s.Segments, p.SegmentBytes)
 	ng := indexOfInt(s.NodeGroups, p.GPUsPerNode)
-	d := indexOfInt(s.Depths, p.PriorityDepth)
-	if st < 0 || g < 0 || a < 0 || sg < 0 || ng < 0 || d < 0 {
+	if st < 0 || g < 0 || a < 0 || sg < 0 || ng < 0 {
 		return -1
 	}
-	return ((((a*len(s.Streams)+st)*len(s.Granularities)+g)*len(s.Segments)+sg)*len(s.NodeGroups)+ng)*len(s.Depths) + d
+	return (((a*len(s.Streams)+st)*len(s.Granularities)+g)*len(s.Segments)+sg)*len(s.NodeGroups) + ng
 }
 
-// Neighbor returns p with one dimension moved by one step (dim in 0..5,
+// Neighbor returns p with one dimension moved by one step (dim in 0..4,
 // dir ±1), clamped to the space — the PBT explore move.
 func (s Space) Neighbor(p Params, dim, dir int) Params {
 	switch dim {
@@ -168,21 +153,17 @@ func (s Space) Neighbor(p Params, dim, dir int) Params {
 	case 3:
 		i := clamp(indexOfInt64(s.Segments, p.SegmentBytes)+dir, 0, len(s.Segments)-1)
 		p.SegmentBytes = s.Segments[i]
-	case 4:
+	default:
 		i := clamp(indexOfInt(s.NodeGroups, p.GPUsPerNode)+dir, 0, len(s.NodeGroups)-1)
 		p.GPUsPerNode = s.NodeGroups[i]
-	default:
-		i := clamp(indexOfInt(s.Depths, p.PriorityDepth)+dir, 0, len(s.Depths)-1)
-		p.PriorityDepth = s.Depths[i]
 	}
 	return p
 }
 
-// Normalize maps p to [0,1]^6 for the Bayesian optimizer's kernel: log-scale
-// positions within each dimension (linear for PriorityDepth, whose candidate
-// values include 0).
-func (s Space) Normalize(p Params) [6]float64 {
-	var v [6]float64
+// Normalize maps p to [0,1]^5 for the Bayesian optimizer's kernel: log-scale
+// positions within each numeric dimension.
+func (s Space) Normalize(p Params) [5]float64 {
+	var v [5]float64
 	if len(s.Streams) > 1 {
 		v[0] = logPos(float64(p.Streams), float64(s.Streams[0]), float64(s.Streams[len(s.Streams)-1]))
 	}
@@ -197,11 +178,6 @@ func (s Space) Normalize(p Params) [6]float64 {
 	}
 	if len(s.NodeGroups) > 1 {
 		v[4] = logPos(float64(p.GPUsPerNode), float64(s.NodeGroups[0]), float64(s.NodeGroups[len(s.NodeGroups)-1]))
-	}
-	if n := len(s.Depths); n > 1 {
-		if i := indexOfInt(s.Depths, p.PriorityDepth); i > 0 {
-			v[5] = float64(i) / float64(n-1)
-		}
 	}
 	return v
 }

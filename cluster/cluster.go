@@ -134,14 +134,6 @@ type Engine struct {
 	// relative to a tuned NCCL socket stack (PyTorch-DDP's default TCP
 	// backend reaches ~2/3 of NCCL's per-connection rate). 0 means 1.
 	LinkEfficiency float64
-	// PriorityDepth is the priority-scheduler class count, mirroring
-	// engine.Config.PriorityDepth: 0 dispatches units in emission (FIFO)
-	// order; ≥1 packs and admits units in reverse-topological order
-	// (earliest forward layer first, quantized into this many classes);
-	// ≥2 additionally grants a strictly more urgent unit a preemptor slot
-	// past the stream cap, modeling byte-level preemption of in-flight
-	// transfers at segment boundaries. AIACC only.
-	PriorityDepth int
 }
 
 // effLink returns LinkEfficiency with the zero value defaulted to 1.
@@ -289,9 +281,6 @@ func (c Config) validate() error {
 	if c.Engine.SegmentBytes < 0 {
 		return fmt.Errorf("%w: segment bytes %d", ErrBadConfig, c.Engine.SegmentBytes)
 	}
-	if c.Engine.PriorityDepth < 0 {
-		return fmt.Errorf("%w: priority depth %d", ErrBadConfig, c.Engine.PriorityDepth)
-	}
 	if c.ModelParallelShards < 0 || (c.ModelParallelShards > 1 && c.ModelParallelShards > c.Topology.GPUsPerNode) {
 		return fmt.Errorf("%w: model parallel shards %d", ErrBadConfig, c.ModelParallelShards)
 	}
@@ -324,7 +313,7 @@ type Result struct {
 	// 0..l-1 ran and l's own gradient finished its all-reduce and update.
 	// It prices the schedule, not just the volume — two engines with equal
 	// IterTime differ here when one delivers early-layer gradients sooner
-	// (the priority scheduler's target metric).
+	// (what reverse-topological packing targets).
 	CriticalPath time.Duration
 }
 

@@ -6,69 +6,14 @@ import (
 	"aiacc/model"
 )
 
-// priorityConfig returns an AIACC deployment with the given scheduler depth.
-func priorityConfig(gpus int, m model.Model, depth int) Config {
-	cfg := aiaccConfig(gpus, m)
-	cfg.Engine.PriorityDepth = depth
-	return cfg
-}
-
-// The priority scheduler must shorten the next-forward critical path on the
-// CTR model, whose first layer (the embedding table) dominates gradient
-// volume: unscheduled FIFO packing delivers the embedding last, stalling the
-// next forward's very first layer.
-func TestPrioritySchedImprovesCTRCriticalPath(t *testing.T) {
-	base := simOrFatal(t, priorityConfig(32, model.CTR(), 0))
-	prio := simOrFatal(t, priorityConfig(32, model.CTR(), 4))
-	if base.CriticalPath <= 0 || prio.CriticalPath <= 0 {
-		t.Fatalf("degenerate critical paths: base=%v prio=%v", base.CriticalPath, prio.CriticalPath)
-	}
-	if prio.CriticalPath >= base.CriticalPath {
-		t.Errorf("priority scheduling did not shorten the CTR critical path: depth0=%v depth4=%v",
-			base.CriticalPath, prio.CriticalPath)
-	}
-	// The scheduler reorders units, it does not add wire bytes: iteration
-	// time must stay within a few percent of the unscheduled run.
-	ratio := prio.IterTime.Seconds() / base.IterTime.Seconds()
-	if ratio > 1.05 || ratio < 0.80 {
-		t.Errorf("IterTime moved too much under scheduling: depth0=%v depth4=%v (ratio %.3f)",
-			base.IterTime, prio.IterTime, ratio)
-	}
-}
-
-// On a uniform profile (BERT-Large, gradient volume spread evenly across
-// layers) priority scheduling should be roughly neutral: no layer dominates,
-// so reordering buys little and must cost nothing.
-func TestPrioritySchedNeutralOnUniformProfile(t *testing.T) {
-	base := simOrFatal(t, priorityConfig(32, model.BERTLarge(), 0))
-	prio := simOrFatal(t, priorityConfig(32, model.BERTLarge(), 4))
-	if prio.CriticalPath > base.CriticalPath*110/100 {
-		t.Errorf("priority scheduling hurt the uniform profile: depth0=%v depth4=%v",
-			base.CriticalPath, prio.CriticalPath)
-	}
-	ratio := prio.IterTime.Seconds() / base.IterTime.Seconds()
-	if ratio > 1.05 || ratio < 0.95 {
-		t.Errorf("IterTime moved under scheduling on a uniform profile: depth0=%v depth4=%v",
-			base.IterTime, prio.IterTime)
-	}
-}
-
-// Depth must be monotone-safe: every depth in the tuning space simulates
-// cleanly and preserves the volume invariant (checked inside Simulate).
+// Every model simulates cleanly under reverse-topological packing, preserves
+// the volume invariant (checked inside Simulate) and prices a positive
+// next-forward critical path.
 func TestPriorityDepthSweep(t *testing.T) {
-	for _, depth := range []int{0, 1, 2, 4, 8} {
-		for _, m := range []model.Model{model.CTR(), model.ResNet50()} {
-			res := simOrFatal(t, priorityConfig(16, m, depth))
-			if res.CriticalPath <= 0 {
-				t.Errorf("%s depth=%d: CriticalPath=%v", m.Name, depth, res.CriticalPath)
-			}
+	for _, m := range []model.Model{model.CTR(), model.ResNet50(), model.BERTLarge()} {
+		res := simOrFatal(t, aiaccConfig(16, m))
+		if res.CriticalPath <= 0 {
+			t.Errorf("%s: CriticalPath=%v", m.Name, res.CriticalPath)
 		}
-	}
-}
-
-func TestPriorityDepthValidation(t *testing.T) {
-	cfg := priorityConfig(8, model.CTR(), -1)
-	if _, err := Simulate(cfg); err == nil {
-		t.Error("negative PriorityDepth must be rejected")
 	}
 }

@@ -229,31 +229,11 @@ type span struct {
 	bytes int64
 }
 
-// simUnit is one packed communication unit: its payload spans and the
-// priority class derived from its most urgent span.
+// simUnit is one packed communication unit and its layer-attributed payload
+// spans.
 type simUnit struct {
 	bytes int64
-	class int
 	spans []span
-}
-
-// prioritized reports whether the engine schedules units by priority.
-func (w *worker) prioritized() bool {
-	return w.cfg.Engine.Kind == AIACC && w.cfg.Engine.PriorityDepth > 0
-}
-
-// classOf quantizes a forward layer index into a priority class, mirroring
-// the live engine (engine/sched.go classOf).
-func (w *worker) classOf(layer int) int {
-	depth := w.cfg.Engine.PriorityDepth
-	if depth <= 1 || w.layers == 0 {
-		return 0
-	}
-	c := layer * depth / w.layers
-	if c >= depth {
-		c = depth - 1
-	}
-	return c
 }
 
 // iteration is the per-iteration engine state machine.
@@ -277,7 +257,6 @@ type iteration struct {
 
 	unitQueue     []simUnit
 	activeStreams int
-	activeClasses []int // class multiset of in-flight units
 
 	layerLeft []int64         // gradient bytes not yet communicated, per layer
 	layerDone []time.Duration // completion time of each layer's last byte
@@ -393,10 +372,10 @@ func (it *iteration) maybeStartRound() {
 	it.producedBytes = 0
 	it.producedSpans = nil
 	it.producedTensors = 0
-	if w.prioritized() {
+	if w.cfg.Engine.Kind == AIACC {
 		// Reverse-topological packing: within the agreed batch, the layer
-		// the next forward needs first goes first (canonical (priority, id)
-		// order of internal/packing).
+		// the next forward needs first goes first (the canonical
+		// (priority, id) order of internal/packing, applied every round).
 		sort.SliceStable(roundSpans, func(i, j int) bool { return roundSpans[i].layer < roundSpans[j].layer })
 	}
 
@@ -466,11 +445,9 @@ func (it *iteration) emitUnits(flush bool) {
 }
 
 // takeUnit removes the first `bytes` bytes of agreed backlog as one unit's
-// payload, splitting the boundary span; the unit's class comes from its most
-// urgent span.
+// payload, splitting the boundary span.
 func (it *iteration) takeUnit(bytes int64) simUnit {
 	u := simUnit{bytes: bytes}
-	minLayer := int(^uint(0) >> 1)
 	remaining := bytes
 	for remaining > 0 {
 		s := &it.agreedSpans[0]
@@ -479,74 +456,33 @@ func (it *iteration) takeUnit(bytes int64) simUnit {
 			take = remaining
 		}
 		u.spans = append(u.spans, span{layer: s.layer, bytes: take})
-		if s.layer < minLayer {
-			minLayer = s.layer
-		}
 		s.bytes -= take
 		remaining -= take
 		if s.bytes == 0 {
 			it.agreedSpans = it.agreedSpans[1:]
 		}
 	}
-	u.class = it.w.classOf(minLayer)
 	it.agreedBacklog -= bytes
 	it.emittedBytes += bytes
 	return u
 }
 
-// enqueue adds a unit to the dispatch queue: FIFO normally, class-ordered
-// (stable within a class) under priority scheduling.
+// enqueue adds a unit to the FIFO dispatch queue.
 func (it *iteration) enqueue(u simUnit) {
 	it.stats.units++
-	if !it.w.prioritized() {
-		it.unitQueue = append(it.unitQueue, u)
-		return
-	}
-	i := len(it.unitQueue)
-	for i > 0 && it.unitQueue[i-1].class > u.class {
-		i--
-	}
-	it.unitQueue = append(it.unitQueue, simUnit{})
-	copy(it.unitQueue[i+1:], it.unitQueue[i:])
-	it.unitQueue[i] = u
+	it.unitQueue = append(it.unitQueue, u)
 }
 
-// minActiveClass returns the most urgent in-flight class, or a sentinel
-// above every class when idle.
-func (it *iteration) minActiveClass() int {
-	m := int(^uint(0) >> 1)
-	for _, c := range it.activeClasses {
-		if c < m {
-			m = c
-		}
-	}
-	return m
-}
-
-// admit reports whether the queue head may start now: a stream slot is
-// free, or — preemptive mode — the unit is strictly more urgent than every
-// in-flight one, granting it the preemptor slot (the live scheduler's
-// second runner; the shared-NIC model approximates the parked transfer).
-func (it *iteration) admit(u simUnit) bool {
-	capNow := it.w.streamCap(it.w.s.Now(), it.bwdEnd)
-	if it.activeStreams < capNow {
-		return true
-	}
-	return it.w.cfg.Engine.PriorityDepth >= 2 &&
-		it.activeStreams < capNow+1 && u.class < it.minActiveClass()
-}
-
-// startUnits admits queued units to streams up to the current concurrency
-// cap (plus the preemptor slot in preemptive priority mode).
+// startUnits admits queued units, in emission order, to streams up to the
+// current concurrency cap.
 func (it *iteration) startUnits() {
 	w := it.w
-	for len(it.unitQueue) > 0 && it.admit(it.unitQueue[0]) {
+	for len(it.unitQueue) > 0 && it.activeStreams < w.streamCap(w.s.Now(), it.bwdEnd) {
 		u := it.unitQueue[0]
 		it.unitQueue[0] = simUnit{}
 		it.unitQueue = it.unitQueue[1:]
 		bytes := u.bytes
 		it.activeStreams++
-		it.activeClasses = append(it.activeClasses, u.class)
 		latency, nicVol, serial := w.unitTiming(bytes)
 		// Every unit pays a fixed dispatch cost (communication kernel
 		// launch, gather/scatter packing) on its stream, plus the exposed
@@ -573,13 +509,6 @@ func (it *iteration) startUnits() {
 
 func (it *iteration) completeUnit(u simUnit) {
 	it.activeStreams--
-	for i, c := range it.activeClasses {
-		if c == u.class {
-			it.activeClasses[i] = it.activeClasses[len(it.activeClasses)-1]
-			it.activeClasses = it.activeClasses[:len(it.activeClasses)-1]
-			break
-		}
-	}
 	it.completeBytes += u.bytes
 	now := it.w.s.Now()
 	for _, s := range u.spans {

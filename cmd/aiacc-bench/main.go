@@ -68,7 +68,7 @@ func run() error {
 		{id: "live", run: s.Live},
 		{id: "live-bandwidth", run: s.LiveBandwidth},
 		{id: "segsweep", run: s.SegSweep},
-		{id: "priority", run: s.PriorityAB},
+		{id: "priority", run: s.PrioritySweep},
 		{id: "shm-loopback", run: s.ShmLoopback},
 		{id: "hierarchy", run: s.Hierarchy},
 	}

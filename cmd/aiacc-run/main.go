@@ -48,7 +48,6 @@ func liveSpace() autotune.Space {
 		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 512 << 10},
 		NodeGroups:    []int{1, 2, 4},
-		Depths:        []int{0, 2, 4},
 	}
 }
 
@@ -68,7 +67,6 @@ func run() error {
 		streams     = flag.Int("streams", 4, "concurrent communication streams")
 		granularity = flag.Int64("granularity", 1<<20, "all-reduce unit size in bytes")
 		segBytes    = flag.Int64("segment-bytes", 0, "ring wire-pipelining segment size in bytes (0 = collective default)")
-		prioDepth   = flag.Int("priority-depth", 0, "priority-scheduler class count; 0 = off, >=2 enables preemption")
 		trans       = flag.String("transport", "mem", "transport: mem | tcp | shm (shared-memory rings; with -multiproc, true cross-process shared memory)")
 		opTimeout   = flag.Duration("op-timeout", 0, "bound every blocking transport send/recv; a stuck operation fails with a timeout instead of hanging (0 = unbounded)")
 		heartbeat   = flag.Duration("heartbeat", 0, "TCP liveness probe interval; a peer silent for 4 intervals is declared failed (0 = off)")
@@ -107,7 +105,6 @@ func run() error {
 	cfg.Streams = *streams
 	cfg.GranularityBytes = *granularity
 	cfg.SegmentBytes = *segBytes
-	cfg.PriorityDepth = *prioDepth
 	cfg.MinSyncBytes = *granularity
 	cfg.GPUsPerNode = *perNode
 	cfg.DetectNaN = *nanCheck

@@ -55,7 +55,7 @@ func abortWorthy(err error) bool {
 // lane to every other member of c, attributing the failure to the rank
 // extracted from err (or this rank, for local failures such as a decode
 // error), then returns err unchanged.
-func Unwind(c Comm, stream int, err error) error {
+func Unwind(c *mpi.Comm, stream int, err error) error {
 	if err == nil || !abortWorthy(err) {
 		return err
 	}

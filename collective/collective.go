@@ -72,7 +72,7 @@ func beginRing(wireHint int) ringOp {
 
 // send dispatches the op's current wire buffer, whose ownership transfers
 // immediately; the caller must not touch it until adopt installs a new one.
-func (r *ringOp) send(c Comm, to, stream int) {
+func (r *ringOp) send(c *mpi.Comm, to, stream int) {
 	r.async.Send(c, to, stream, r.buf)
 	r.inflight = true
 	r.buf = nil
@@ -104,7 +104,7 @@ func (r *ringOp) end() {
 // RingAllReduce performs an in-place ring all-reduce of data across all
 // members of c on the given stream, with fp32 wire encoding. See
 // RingAllReduceCodec.
-func RingAllReduce(c Comm, stream int, data []float32, op tensor.ReduceOp, opts ...Option) error {
+func RingAllReduce(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, opts ...Option) error {
 	return RingAllReduceCodec(c, stream, data, op, compress.FP32{}, opts...)
 }
 
@@ -127,11 +127,11 @@ func RingAllReduce(c Comm, stream int, data []float32, op tensor.ReduceOp, opts 
 // transfer of segment i+1 and each encode overlaps the in-flight send. In
 // the all-gather phase, received payloads are forwarded verbatim — each
 // reduced chunk is encoded exactly once, by its origin rank.
-func RingAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+func RingAllReduceCodec(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	return Unwind(c, stream, ringAllReduceCodec(c, stream, data, op, codec, opts...))
 }
 
-func ringAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+func ringAllReduceCodec(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	n := c.Size()
 	if n == 1 || len(data) == 0 {
 		return nil
@@ -153,7 +153,7 @@ func ringAllReduceCodec(c Comm, stream int, data []float32, op tensor.ReduceOp, 
 // of chunk (r+1) mod n, with the rest of data left in an intermediate
 // state. It is the intra-host first phase of the two-level hierarchical
 // all-reduce.
-func ringReduceScatter(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
+func ringReduceScatter(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	if c.Size() == 1 || len(data) == 0 {
 		return nil
 	}
@@ -169,7 +169,7 @@ func ringReduceScatter(c Comm, stream int, data []float32, op tensor.ReduceOp, c
 // assuming the reduce-scatter postcondition (rank r owns a fully reduced
 // chunk (r+1) mod n). It is the intra-host last phase of the two-level
 // hierarchical all-reduce.
-func ringChunkAllGather(c Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
+func ringChunkAllGather(c *mpi.Comm, stream int, data []float32, codec compress.Codec, opts ...Option) error {
 	if c.Size() == 1 || len(data) == 0 {
 		return nil
 	}
@@ -188,11 +188,11 @@ func ringChunkAllGather(c Comm, stream int, data []float32, codec compress.Codec
 // ring to it bit-for-bit under lossless codecs — and as the same-binary
 // baseline arm of the ring benchmarks. Production callers want
 // RingAllReduceCodec.
-func RingAllReduceCodecReference(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
+func RingAllReduceCodecReference(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
 	return Unwind(c, stream, ringAllReduceCodecReference(c, stream, data, op, codec))
 }
 
-func ringAllReduceCodecReference(c Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
+func ringAllReduceCodecReference(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
 	n := c.Size()
 	if n == 1 || len(data) == 0 {
 		return nil

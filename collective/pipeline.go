@@ -6,6 +6,7 @@ import (
 
 	"aiacc/compress"
 	"aiacc/internal/sendpool"
+	"aiacc/mpi"
 	"aiacc/tensor"
 )
 
@@ -19,7 +20,6 @@ const DefaultSegmentBytes = 128 << 10
 // options collects per-call collective options.
 type options struct {
 	segBytes int64
-	yield    func()
 }
 
 // Option configures a collective operation. It is a value, not the usual
@@ -28,7 +28,6 @@ type options struct {
 // call, while values fold on the stack.
 type Option struct {
 	segBytes int64
-	yield    func()
 }
 
 // WithSegmentBytes sets the wire-pipelining segment size in fp32 data bytes.
@@ -38,24 +37,11 @@ type Option struct {
 // wire protocol). Non-positive values are ignored.
 func WithSegmentBytes(n int64) Option { return Option{segBytes: n} }
 
-// WithYield installs a cooperative preemption hook, invoked between wire
-// segments (just before each blocking segment receive, in both ring phases).
-// The hook may block — that is the point: the engine's priority scheduler
-// parks a low-priority all-reduce here while a higher-priority unit claims
-// the stream, and the parked operation resumes from its completed segments
-// with no re-encode and no wasted wire bytes. The hook runs on the
-// collective's calling goroutine with no pipeline locks held; at most
-// sendpool.PipeDepth frames from this operation are in flight while parked.
-func WithYield(f func()) Option { return Option{yield: f} }
-
 func buildOptions(opts []Option) options {
 	o := options{segBytes: DefaultSegmentBytes}
 	for _, op := range opts {
 		if op.segBytes > 0 {
 			o.segBytes = op.segBytes
-		}
-		if op.yield != nil {
-			o.yield = op.yield
 		}
 	}
 	return o
@@ -137,7 +123,7 @@ func (r *segRing) giveBuf(b []byte) {
 // When the pipe is full it first waits for the oldest in-flight send, so the
 // caller overlaps at most PipeDepth frames. On error the unsent buffer is
 // reclaimed.
-func (r *segRing) send(c Comm, to, stream int, buf []byte) error {
+func (r *segRing) send(c *mpi.Comm, to, stream int, buf []byte) error {
 	if r.out == sendpool.PipeDepth {
 		if err := r.wait(); err != nil {
 			r.giveBuf(buf)
@@ -182,7 +168,7 @@ func (r *segRing) end() {
 // ringPipeline is the per-operation state of a segment-pipelined ring
 // all-reduce.
 type ringPipeline struct {
-	c          Comm
+	c          *mpi.Comm
 	stream     int
 	next, prev int
 	codec      compress.Codec
@@ -191,21 +177,13 @@ type ringPipeline struct {
 	r          segRing
 	scratch    []float32 // one segment of decode scratch
 	timed      bool      // metrics enabled at op start
-	yield      func()    // segment-boundary preemption hook (may be nil)
-}
-
-// pause invokes the preemption hook, if any, at a segment boundary.
-func (p *ringPipeline) pause() {
-	if p.yield != nil {
-		p.yield()
-	}
 }
 
 // init fills in the per-operation pipeline state for an all-reduce-shaped
 // collective over dataLen elements. It is a method rather than a
 // constructor so the pipeline stays a stack value on the hot path; the
 // caller owns the returned scratch box (putF32) and the send ring (p.r.end).
-func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o options) *[]float32 {
+func (p *ringPipeline) init(c *mpi.Comm, stream, dataLen int, codec compress.Codec, o options) *[]float32 {
 	n := c.Size()
 	rank := c.Rank()
 	// Segments are cut from fp32 chunks, so wire buffers and the decode
@@ -219,7 +197,6 @@ func (p *ringPipeline) init(c Comm, stream, dataLen int, codec compress.Codec, o
 	p.c, p.stream = c, stream
 	p.next, p.prev = (rank+1)%n, (rank-1+n)%n
 	p.codec, p.segBytes, p.maxChunk = codec, o.segBytes, maxChunk
-	p.yield = o.yield
 	p.r = beginSeg(int(codec.WireBytes(segElems)))
 	p.timed = segTimed()
 	mSegCount.Set(int64(numSegments(maxChunk, o.segBytes)))
@@ -328,7 +305,6 @@ func (p *ringPipeline) reduceStep(data []float32, sLo, sHi, rLo, rHi int, op ten
 		return err
 	}
 	for i := 0; i < recvSegs; i++ {
-		p.pause()
 		payload, err := p.recv()
 		if err != nil {
 			return err
@@ -390,7 +366,6 @@ func (p *ringPipeline) gatherStep(data []float32, sLo, sHi, rLo, rHi int, forwar
 		return err
 	}
 	for i := 0; i < recvSegs; i++ {
-		p.pause()
 		payload, err := p.recv()
 		if err != nil {
 			return err

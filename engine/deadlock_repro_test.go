@@ -9,10 +9,11 @@ import (
 	"aiacc/transport"
 )
 
-// Repro: three large units of strictly increasing urgency dispatched
-// backward (c2, c1, c0) on one stream. c2 runs, c1 preempts (both slots
-// busy), c0 arrives with no free runner — both active units park at their
-// yield gates waiting for c0, which can never start.
+// Three large units of strictly increasing urgency dispatched backward (c2,
+// c1, c0) on one stream over a slow link. This once hung a segment-boundary
+// scheduler: c2 ran, c1 took the second slot, and c0 arrived with no free
+// slot while both running units waited for it. On the stream pool the units
+// queue FIFO behind each other and the iteration completes.
 func TestReproYieldGateDeadlock(t *testing.T) {
 	params := []priorityParam{
 		{"l2.weight", 256 << 10, 2},
@@ -21,7 +22,6 @@ func TestReproYieldGateDeadlock(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Streams = 1
-	cfg.PriorityDepth = 3
 	cfg.GranularityBytes = 4 << 20 // one unit per gradient
 	cfg.SegmentBytes = 4 << 10
 	cfg.MinSyncBytes = 1

@@ -1,4 +1,4 @@
-// Package core implements the AIACC-Training gradient communication engine
+// Package engine implements the AIACC-Training gradient communication engine
 // (§V, Fig. 6): the live, byte-moving counterpart of the paper's per-GPU MPI
 // communication process.
 //
@@ -128,18 +128,6 @@ type Config struct {
 	// MinSyncBytes is the bucket size that triggers a synchronization
 	// round; 0 means GranularityBytes.
 	MinSyncBytes int64
-	// PriorityDepth is the priority-scheduler class count (DESIGN.md §10).
-	// 0 disables the scheduler: units dispatch round-robin in Seq order, the
-	// original behavior. ≥1 enables per-stream priority queues ordered by the
-	// registered gradient priorities (RegisterWithPriority; reverse-
-	// topological for a model registered in layer order), quantized into this
-	// many urgency classes; ≥2 additionally lets a more urgent unit preempt a
-	// less urgent in-flight unit at the next wire-segment boundary. Scheduling
-	// never changes unit composition, only dispatch timing, so fp32 results
-	// are bit-identical across PriorityDepth settings. A sixth auto-tuner
-	// dimension. Ring only: the hierarchical algorithm ignores it (the
-	// two-level schedule multiplexes sub-communicators on its own).
-	PriorityDepth int
 	// Algorithm selects ring or hierarchical all-reduce.
 	Algorithm Algorithm
 	// GPUsPerNode configures the hierarchical algorithm's node grouping.
@@ -193,8 +181,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: minSyncBytes %d", ErrBadConfig, c.MinSyncBytes)
 	case c.SegmentBytes < 0:
 		return fmt.Errorf("%w: segmentBytes %d", ErrBadConfig, c.SegmentBytes)
-	case c.PriorityDepth < 0:
-		return fmt.Errorf("%w: priorityDepth %d", ErrBadConfig, c.PriorityDepth)
 	}
 	return nil
 }
@@ -249,17 +235,6 @@ type Engine struct {
 
 	met *engineMetrics
 
-	// Priority-scheduler state (PriorityDepth > 0; sched.go, plex.go).
-	sched       []*streamSched // per data stream; nil when the scheduler is off
-	plex        *plexTable
-	classes     int // effective urgency class count
-	maxPriority int // highest registered gradient priority
-	schedMu     sync.Mutex
-	schedCond   *sync.Cond
-	schedOut    int   // dispatched units not yet retired
-	schedErr    error // first unit failure
-	schedStop   bool  // engine stopping: tail wait returns ErrClosed
-
 	started bool
 	failed  error
 }
@@ -282,13 +257,6 @@ func NewEngine(comm *mpi.Comm, cfg Config) (*Engine, error) {
 	}
 	if cfg.MinSyncBytes == 0 {
 		cfg.MinSyncBytes = cfg.GranularityBytes
-	}
-	if cfg.Algorithm == Hierarchical {
-		// The frame-tagging multiplexer wraps the flat communicator; the
-		// two-level schedule runs over sub-communicators it cannot wrap.
-		// Priority-ordered packing still applies — only queueing/preemption
-		// degrades to the round-robin dispatcher.
-		cfg.PriorityDepth = 0
 	}
 	return &Engine{
 		comm:     comm,
@@ -323,10 +291,10 @@ func (e *Engine) Register(name string, elems int) error {
 
 // RegisterWithPriority is Register with a scheduling priority: the
 // parameter's forward layer index (lower = the next forward pass needs its
-// gradient sooner). Priorities order unit packing reverse-topologically and,
-// with Config.PriorityDepth > 0, drive the per-stream priority scheduler.
-// All workers must register identical priorities (they come from the shared
-// model, so they do).
+// gradient sooner). Priorities order unit packing reverse-topologically
+// (DESIGN.md §10), so within each agreement round the units the next forward
+// pass needs first are dispatched first. All workers must register identical
+// priorities (they come from the shared model, so they do).
 func (e *Engine) RegisterWithPriority(name string, elems, priority int) error {
 	if e.started {
 		return ErrStarted
@@ -365,35 +333,6 @@ func (e *Engine) Start() error {
 	e.data = make(map[int][]float32, len(grads))
 	e.remaining = make(map[int]int, len(grads))
 	e.met = newEngineMetrics(e.comm.Rank(), e.cfg.Streams)
-	if e.cfg.PriorityDepth > 0 {
-		for _, g := range grads {
-			if g.Priority > e.maxPriority {
-				e.maxPriority = g.Priority
-			}
-		}
-		// More classes than distinct priority levels cannot discriminate.
-		e.classes = e.cfg.PriorityDepth
-		if e.classes > e.maxPriority+1 {
-			e.classes = e.maxPriority + 1
-		}
-		e.schedCond = sync.NewCond(&e.schedMu)
-		e.sched = make([]*streamSched, e.cfg.Streams)
-		for s := range e.sched {
-			e.sched[s] = newStreamSched(e.classes)
-		}
-		e.plex = newPlexTable(e.comm, e.cfg.Streams)
-		e.met.initSched(e.comm.Rank(), e.classes)
-		// Wake a tail wait blocked across Close, and open the yield gates so
-		// parked units run into the dying transport instead of sleeping.
-		go func() {
-			<-e.stop
-			e.schedMu.Lock()
-			e.schedStop = true
-			e.schedMu.Unlock()
-			e.schedCond.Broadcast()
-			e.schedOpen()
-		}()
-	}
 	e.publishConfig()
 	e.started = true
 	go e.loop()
@@ -503,9 +442,6 @@ func (e *Engine) Close() error {
 	}
 	e.stopOnce.Do(func() { close(e.stop) })
 	<-e.loopDone
-	if e.sched != nil {
-		e.schedClose()
-	}
 	return e.pool.Close()
 }
 
@@ -622,12 +558,7 @@ func (e *Engine) runIteration() error {
 	// The final pool drain is the communication the iteration could not hide
 	// behind incoming pushes: the paper's non-overlapped tail.
 	tailStart := clockStart()
-	var err error
-	if e.sched != nil {
-		err = e.schedWait()
-	} else {
-		err = e.pool.Wait()
-	}
+	err := e.pool.Wait()
 	if !iterStart.IsZero() {
 		now := time.Now()
 		iter := now.Sub(iterStart)
@@ -656,23 +587,17 @@ func getUnitBuf(n int) *[]float32 {
 	return bp
 }
 
-// dispatch hands one unit to the dispatcher. In unscheduled mode that is the
-// stream pool: round-robin submission order is identical on every rank
-// (units are generated in the same order), so unit k lands on stream k mod
-// Streams everywhere — the implicit agreement that lets ring messages match.
-// In scheduled mode (PriorityDepth > 0) the unit goes to its stream's
-// priority queue instead; the stream assignment stays Seq mod Streams, and
-// frame tagging (plex.go) makes the within-stream timing a local decision.
+// dispatch hands one unit to the stream pool. Round-robin submission order
+// is identical on every rank (units are generated in the same (priority, id)
+// order), so unit k lands on stream k mod Streams everywhere — the implicit
+// agreement that lets ring messages match — and each stream runs its units
+// in that same order.
 func (e *Engine) dispatch(u packing.Unit) error {
-	if e.sched != nil {
-		e.dispatchSched(u)
-	} else {
-		err := e.pool.Submit(func(streamID int) error {
-			return e.reduceUnit(streamID, u, e.comm, nil)
-		})
-		if err != nil {
-			return err
-		}
+	err := e.pool.Submit(func(streamID int) error {
+		return e.reduceUnit(streamID, u)
+	})
+	if err != nil {
+		return err
 	}
 	e.mu.Lock()
 	e.stats.Units++
@@ -685,11 +610,8 @@ func (e *Engine) dispatch(u packing.Unit) error {
 }
 
 // reduceUnit gathers, all-reduces, averages and scatters one unit on the
-// given stream. comm is the communicator the ring frames travel through —
-// the plain one in unscheduled mode, a tagging plexComm under the priority
-// scheduler — and yield, when non-nil, is the segment-boundary preemption
-// gate.
-func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, yield func()) error {
+// given stream.
+func (e *Engine) reduceUnit(streamID int, u packing.Unit) error {
 	if e.cfg.Trace != nil {
 		span := e.cfg.Trace.Begin(fmt.Sprintf("all-reduce unit %d", u.Seq), "comm", streamID)
 		span = span.Arg("bytes", strconv.FormatInt(u.Bytes(), 10))
@@ -703,18 +625,13 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit, comm collective.Comm, 
 	if err := packing.Gather(u, e.gradData, buf); err != nil {
 		return err
 	}
+	seg := collective.WithSegmentBytes(e.cfg.SegmentBytes)
 	var rerr error
-	switch {
-	case e.cfg.Algorithm == Hierarchical:
+	if e.cfg.Algorithm == Hierarchical {
 		rerr = collective.HierarchicalAllReduceCodec(
-			e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes))
-	case yield != nil:
-		rerr = collective.RingAllReduceCodec(comm, streamID, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes), collective.WithYield(yield))
-	default:
-		rerr = collective.RingAllReduceCodec(comm, streamID, buf, tensor.OpSum, e.cfg.Codec,
-			collective.WithSegmentBytes(e.cfg.SegmentBytes))
+			e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec, seg)
+	} else {
+		rerr = collective.RingAllReduceCodec(e.comm, streamID, buf, tensor.OpSum, e.cfg.Codec, seg)
 	}
 	if rerr != nil {
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)

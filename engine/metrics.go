@@ -27,47 +27,6 @@ type engineMetrics struct {
 	units      *metrics.Counter
 	bytes      *metrics.Counter
 	wireBytes  *metrics.Counter // codec-encoded unit bytes (what the wire carries)
-
-	// Priority-scheduler observability (populated only when PriorityDepth > 0;
-	// see initSched). Queue gauges are per priority class; the histogram
-	// records how long a more urgent unit waited behind strictly less urgent
-	// in-flight transfers before its runner started (head-of-line blocking).
-	classDepth  []*metrics.Gauge
-	classBytes  []*metrics.Gauge
-	preemptions *metrics.Counter
-	resumedSegs *metrics.Counter
-	holWaitNs   *metrics.Histogram
-}
-
-// initSched creates the per-class scheduler metrics once the effective class
-// count is known (after registration).
-func (m *engineMetrics) initSched(rank, classes int) {
-	rankL := metrics.L("rank", strconv.Itoa(rank))
-	m.classDepth = make([]*metrics.Gauge, classes)
-	m.classBytes = make([]*metrics.Gauge, classes)
-	for c := 0; c < classes; c++ {
-		classL := metrics.L("class", strconv.Itoa(c))
-		m.classDepth[c] = metrics.NewGauge("aiacc_engine_sched_queue_depth",
-			"Units queued per priority class (class 0 = most urgent).", rankL, classL)
-		m.classBytes[c] = metrics.NewGauge("aiacc_engine_sched_queue_bytes",
-			"Pre-codec payload bytes queued per priority class.", rankL, classL)
-	}
-	m.preemptions = metrics.NewCounter("aiacc_engine_sched_preemptions_total",
-		"In-flight units parked at a segment boundary for a more urgent unit.", rankL)
-	m.resumedSegs = metrics.NewCounter("aiacc_engine_sched_resumed_segments_total",
-		"Wire segments completed by previously preempted units (no re-encode, no re-send).", rankL)
-	m.holWaitNs = metrics.NewHistogram("aiacc_engine_sched_hol_wait_ns",
-		"Head-of-line blocking: queue wait of units enqueued behind strictly less urgent in-flight transfers.",
-		metrics.LatencyNs, rankL)
-}
-
-// observeQueue updates one priority class's queue gauges; a no-op before
-// initSched (unscheduled mode never calls it).
-func (m *engineMetrics) observeQueue(class, depth int, bytes int64) {
-	if class < len(m.classDepth) {
-		m.classDepth[class].Set(int64(depth))
-		m.classBytes[class].Set(bytes)
-	}
 }
 
 func newEngineMetrics(rank, streams int) *engineMetrics {
@@ -117,8 +76,6 @@ func (e *Engine) publishConfig() {
 		Set(e.cfg.GranularityBytes)
 	metrics.NewGauge("aiacc_engine_segment_bytes", "Configured ring wire-pipelining segment size (0 = collective default).", rankL).
 		Set(e.cfg.SegmentBytes)
-	metrics.NewGauge("aiacc_engine_priority_depth", "Configured priority-scheduler class count (0 = scheduler off).", rankL).
-		Set(int64(e.cfg.PriorityDepth))
 }
 
 // clockStart returns the wall clock when metrics are enabled, else zero;

@@ -111,17 +111,21 @@ func priorityGrads(rank, iter int, params []priorityParam) map[string]*tensor.Te
 	return grads
 }
 
-// runPriorityRounds pushes iters iterations of the profile (backward order:
-// deepest layer first, embedding last) and returns every reduced value keyed
-// by "iter/name".
-func runPriorityRounds(t *testing.T, cfg Config, params []priorityParam, iters int) map[string][]float32 {
+// runPriorityRounds pushes iters iterations of the profile — backward order
+// (deepest layer first, embedding last) or forward order — and returns every
+// reduced value keyed by "iter/name".
+func runPriorityRounds(t *testing.T, cfg Config, params []priorityParam, iters int, backward bool) map[string][]float32 {
 	t.Helper()
 	var mu sync.Mutex
 	out := make(map[string][]float32)
 	runPriorityEngines(t, 2, cfg, params, nil, func(e *Engine) error {
 		for iter := 0; iter < iters; iter++ {
 			grads := priorityGrads(e.Rank(), iter, params)
-			for i := len(params) - 1; i >= 0; i-- {
+			for k := range params {
+				i := k
+				if backward {
+					i = len(params) - 1 - k
+				}
 				if err := e.PushGradient(params[i].name, grads[params[i].name]); err != nil {
 					return err
 				}
@@ -146,120 +150,161 @@ func runPriorityRounds(t *testing.T, cfg Config, params []priorityParam, iters i
 	return out
 }
 
-// TestPrioritySchedBitIdentity is the acceptance property: for fp32, the
-// scheduled modes produce bit-identical reduced gradients to the unscheduled
-// engine. Packing is canonical (priority, id) in every mode, so PriorityDepth
-// changes only dispatch timing — never unit composition, never summation
-// order within a unit.
+// TestPrioritySchedBitIdentity pins fp32 bit identity across stream counts
+// and push orders: packing is canonical (priority, id) within every round and
+// each stream runs its units in submission order, so the stream count and the
+// order gradients are produced in change only dispatch timing. Every cell
+// must reproduce the streams=1 backward-order result exactly.
 func TestPrioritySchedBitIdentity(t *testing.T) {
 	params := skewedProfile()
 	base := DefaultConfig()
-	base.Streams = 2
 	base.GranularityBytes = 32 << 10 // many units per round
-	base.SegmentBytes = 4 << 10      // many yield points per unit
+	base.SegmentBytes = 4 << 10      // many wire segments per unit
 	base.MinSyncBytes = 1            // sync eagerly: several rounds per iteration
 
 	const iters = 3
-	cfgOff := base
-	cfgOff.PriorityDepth = 0
-	want := runPriorityRounds(t, cfgOff, params, iters)
+	ref := base
+	ref.Streams = 1
+	want := runPriorityRounds(t, ref, params, iters, true)
 
-	for _, depth := range []int{1, 2, 4} {
-		cfg := base
-		cfg.PriorityDepth = depth
-		got := runPriorityRounds(t, cfg, params, iters)
-		if len(got) != len(want) {
-			t.Fatalf("depth %d: %d reduced tensors, want %d", depth, len(got), len(want))
-		}
-		for key, w := range want {
-			g, ok := got[key]
-			if !ok {
-				t.Fatalf("depth %d: missing %s", depth, key)
+	for _, streams := range []int{1, 2, 4} {
+		for _, backward := range []bool{true, false} {
+			cfg := base
+			cfg.Streams = streams
+			got := runPriorityRounds(t, cfg, params, iters, backward)
+			cell := fmt.Sprintf("streams=%d backward=%v", streams, backward)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d reduced tensors, want %d", cell, len(got), len(want))
 			}
-			for i := range w {
-				if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
-					t.Fatalf("depth %d: %s[%d] = %x, want %x — scheduled result not bit-identical",
-						depth, key, i, math.Float32bits(g[i]), math.Float32bits(w[i]))
+			for key, w := range want {
+				g, ok := got[key]
+				if !ok {
+					t.Fatalf("%s: missing %s", cell, key)
+				}
+				for i := range w {
+					if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+						t.Fatalf("%s: %s[%d] = %x, want %x — result not bit-identical to streams=1",
+							cell, key, i, math.Float32bits(g[i]), math.Float32bits(w[i]))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestPrioritySchedPreemption drives the preemption path under load: a slow
-// modeled link stretches the embedding unit's transfer so the dense layers'
-// units (pushed afterwards, agreed in later rounds) arrive while it is in
-// flight and park it at a segment boundary. Asserts preemption actually
-// happened and that preempted transfers resumed — under -race this also
-// shakes the plex lane demux and yield-gate interleavings.
-func TestPrioritySchedPreemption(t *testing.T) {
-	params := skewedProfile()
-	cfg := DefaultConfig()
-	cfg.Streams = 1 // one lane: dense units must contend with the embedding
-	cfg.PriorityDepth = 4
-	cfg.GranularityBytes = 64 << 10
-	cfg.SegmentBytes = 4 << 10
-	cfg.MinSyncBytes = 1
-	slow := []transport.MemOption{transport.WithModeledLink(netmodel.Link{
+// bertLikeParams is the uniform profile of the live priority experiment:
+// eight equal transformer-block gradients, one per forward layer.
+func bertLikeParams() []priorityParam {
+	params := make([]priorityParam, 8)
+	for l := range params {
+		params[l] = priorityParam{fmt.Sprintf("block%d.weight", l), 96 << 10, l}
+	}
+	return params
+}
+
+// TestCrossRankDispatchNoHang runs two ranks through the interleaving that
+// once hung the engine across ranks: the uniform bert-like profile pushed in
+// backward order with short gaps, eager agreement rounds (MinSyncBytes=1)
+// and a slow modelled link, so several rounds' units queue behind in-flight
+// transfers on every stream. Dispatch is a pure function of the agreed
+// rounds — every rank submits the same units in the same order to the same
+// streams — so the ranks cannot wait on each other's queued units. Each
+// stream count must finish within the bound and reproduce the streams=1
+// reduced bits exactly.
+func TestCrossRankDispatchNoHang(t *testing.T) {
+	params := bertLikeParams()
+	link := []transport.MemOption{transport.WithModeledLink(netmodel.Link{
 		Kind:            netmodel.TCP,
 		CapacityGbps:    0.8,
 		SingleStreamEff: 0.5,
 		MaxUtilization:  0.96,
 		BaseLatency:     50 * time.Microsecond,
 	})}
+	const iters = 20
 
-	var preempts, resumed int64
-	runPriorityEngines(t, 2, cfg, params, slow, func(e *Engine) error {
-		for iter := 0; iter < 4; iter++ {
-			grads := priorityGrads(e.Rank(), iter, params)
-			// Odd iterations push in backward order (head first, embedding
-			// last): the less urgent head/dense units start transferring in
-			// early sync rounds and the huge layer-0 embedding — most urgent
-			// for the next forward — lands later and preempts them. Even
-			// iterations push forward order to exercise the non-preempting
-			// direction too.
-			if iter%2 == 0 {
-				for i := 0; i < len(params); i++ {
-					if err := e.PushGradient(params[i].name, grads[params[i].name]); err != nil {
+	// run returns rank 0's per-(iteration, gradient) FNV-1a digest of the
+	// reduced bits; storing every value would cost ~60 MB per arm.
+	run := func(streams int) []uint64 {
+		cfg := DefaultConfig()
+		cfg.Streams = streams
+		cfg.GranularityBytes = 256 << 10
+		cfg.SegmentBytes = 32 << 10
+		cfg.MinSyncBytes = 1
+		digests := make([]uint64, iters*len(params))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			runPriorityEngines(t, 2, cfg, params, link, func(e *Engine) error {
+				tmpl := priorityGrads(e.Rank(), 0, params)
+				grads := make([]*tensor.Tensor, len(params))
+				for i, p := range params {
+					grads[i] = tensor.New(p.elems)
+				}
+				for iter := 0; iter < iters; iter++ {
+					for i, p := range params {
+						src, dst := tmpl[p.name].Data(), grads[i].Data()
+						for k := range dst {
+							dst[k] = src[k] + float32(iter)
+						}
+					}
+					for i := len(params) - 1; i >= 0; i-- { // backward: last layer first
+						if err := e.PushGradient(params[i].name, grads[i]); err != nil {
+							return err
+						}
+						time.Sleep(500 * time.Microsecond)
+					}
+					if err := e.WaitIteration(); err != nil {
 						return err
 					}
-				}
-			} else {
-				for i := len(params) - 1; i >= 0; i-- {
-					if err := e.PushGradient(params[i].name, grads[params[i].name]); err != nil {
-						return err
+					if e.Rank() == 0 {
+						for i, g := range grads {
+							digests[iter*len(params)+i] = bitsDigest(g.Data())
+						}
 					}
 				}
-			}
-			if err := e.WaitIteration(); err != nil {
-				return err
-			}
+				return nil
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("streams=%d: hang — WaitIteration never returned\n%s", streams, buf[:n])
 		}
-		if e.Rank() == 0 {
-			preempts = e.met.preemptions.Value()
-			resumed = e.met.resumedSegs.Value()
+		return digests
+	}
+
+	want := run(1)
+	got := run(2)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("streams=2: iteration %d %s digest %x, want %x — not bit-identical to streams=1",
+				k/len(params), params[k%len(params)].name, got[k], want[k])
 		}
-		return nil
-	})
-	if preempts == 0 {
-		t.Error("no preemptions recorded despite slow link and contending classes")
 	}
-	if resumed == 0 {
-		t.Error("no resumed segments recorded: preempted units must finish from where they parked")
-	}
-	t.Logf("preemptions=%d resumed_segments=%d", preempts, resumed)
 }
 
-// TestChaosSoakPriorityKill kills a rank while the survivors' scheduler has
-// units in flight (and, thanks to the slow link and eager sync, likely mid-
-// preemption). Survivors must unwind with classified failures — through
-// parked yield gates and the plex demux lanes — and leak neither goroutines
-// nor pooled buffers: parked frames on lane queues must return to the pool.
+// bitsDigest is an FNV-1a hash over the exact fp32 bit patterns.
+func bitsDigest(v []float32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range v {
+		h ^= uint64(math.Float32bits(x))
+		h *= 1099511628211
+	}
+	return h
+}
+
+// TestChaosSoakPriorityKill kills a rank while the survivors have
+// prioritized units in flight on both streams (the slow link and eager sync
+// keep several queued behind each transfer). Survivors must unwind with
+// classified failures through every queued and running unit, and leak
+// neither goroutines nor pooled buffers.
 func TestChaosSoakPriorityKill(t *testing.T) {
 	// Warm the sendpool so its persistent senders land in the leakcheck
-	// baseline: with preemption on, this test runs more concurrent pipelines
-	// (2 runners × 2 streams × 3 ranks) than the fixed slack covers, and
-	// pooled-idle senders after teardown are by design, not a leak.
+	// baseline: this test can run more concurrent pipelines than the fixed
+	// slack covers, and pooled-idle senders after teardown are by design, not
+	// a leak.
 	warmPipes := make([]*sendpool.Pipe, 16)
 	warmAsyncs := make([]*sendpool.Async, 8)
 	for i := range warmPipes {
@@ -279,7 +324,6 @@ func TestChaosSoakPriorityKill(t *testing.T) {
 	params := skewedProfile()
 	cfg := DefaultConfig()
 	cfg.Streams = 2
-	cfg.PriorityDepth = 4
 	cfg.GranularityBytes = 64 << 10
 	cfg.SegmentBytes = 4 << 10
 	cfg.MinSyncBytes = 1
@@ -325,7 +369,7 @@ func TestChaosSoakPriorityKill(t *testing.T) {
 
 	// Every rank (victim included) pushes a full backward pass; the victim
 	// dies while transfers are pacing over the slow link, so survivors are
-	// parked in yield gates or blocked in lane receives when the wire dies.
+	// blocked in lane receives or queued behind them when the wire dies.
 	var wg sync.WaitGroup
 	results := make([]error, size)
 	for r := 0; r < size; r++ {

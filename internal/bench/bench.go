@@ -194,10 +194,6 @@ func neighborhood(s autotune.Space, p autotune.Params) autotune.Space {
 		if len(sub.NodeGroups) == 0 || sub.NodeGroups[len(sub.NodeGroups)-1] != q.GPUsPerNode {
 			sub.NodeGroups = append(sub.NodeGroups, q.GPUsPerNode)
 		}
-		q = s.Neighbor(p, 5, dir)
-		if len(sub.Depths) == 0 || sub.Depths[len(sub.Depths)-1] != q.PriorityDepth {
-			sub.Depths = append(sub.Depths, q.PriorityDepth)
-		}
 	}
 	return sub
 }

@@ -17,10 +17,8 @@
 // every worker. When no priorities are registered the canonical order
 // degenerates to ascending id order, the original behavior.
 //
-// The canonical order is the same whether or not the engine's priority
-// scheduler is enabled: scheduling changes *when* units are dispatched, never
-// which elements share a unit, so fp32 results stay bit-identical across
-// scheduler settings (ring reduction order is fixed by unit layout).
+// The engine dispatches units in exactly this order, round-robin over its
+// streams, so the packing order is also the dispatch order on every rank.
 package packing
 
 import (

@@ -114,7 +114,7 @@ func layoutKey(units []Unit) uint64 {
 	return h
 }
 
-// TestPackPriorityZooProperty checks the scheduler's packing invariants over
+// TestPackPriorityZooProperty checks the priority packing invariants over
 // every model-zoo entry at several granularities:
 //
 //  1. exactly-once coverage — the units cover every agreed gradient element

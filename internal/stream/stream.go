@@ -22,9 +22,6 @@ import (
 // ErrClosed is returned when submitting to a closed pool.
 var ErrClosed = errors.New("stream: pool closed")
 
-// ErrBadStream indicates a stream id outside the pool.
-var ErrBadStream = errors.New("stream: bad stream id")
-
 // Task is one unit of communication work. It receives the stream id of the
 // worker executing it, which it must use for all collective operations so
 // that concurrent tasks never share a stream.
@@ -45,36 +42,19 @@ type Pool struct {
 	workerWG sync.WaitGroup
 }
 
-// Option configures a Pool.
-type Option func(*config)
-
-type config struct {
-	depth int
-}
-
-// WithQueueDepth sets each stream's queue capacity. The default of 2 lets
-// the dispatcher run ahead of a busy stream without unbounded buffering.
-func WithQueueDepth(n int) Option {
-	return func(c *config) {
-		if n >= 0 {
-			c.depth = n
-		}
-	}
-}
+// queueDepth is each stream's queue capacity: enough to let the dispatcher
+// run ahead of a busy stream without unbounded buffering.
+const queueDepth = 2
 
 // NewPool starts a pool of n workers bound to stream ids 0..n-1.
-func NewPool(n int, opts ...Option) (*Pool, error) {
+func NewPool(n int) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("stream: pool size %d", n)
-	}
-	cfg := config{depth: 2}
-	for _, o := range opts {
-		o(&cfg)
 	}
 	p := &Pool{queues: make([]chan Task, n)}
 	p.cond = sync.NewCond(&p.mu)
 	for id := 0; id < n; id++ {
-		p.queues[id] = make(chan Task, cfg.depth)
+		p.queues[id] = make(chan Task, queueDepth)
 		p.workerWG.Add(1)
 		go p.worker(id)
 	}
@@ -113,23 +93,6 @@ func (p *Pool) Submit(t Task) error {
 	p.inflight++
 	p.mu.Unlock()
 	p.queues[id] <- t
-	return nil
-}
-
-// SubmitTo dispatches a task to a specific stream, blocking while that
-// stream's queue is full.
-func (p *Pool) SubmitTo(streamID int, t Task) error {
-	if streamID < 0 || streamID >= len(p.queues) {
-		return fmt.Errorf("%w: %d of %d", ErrBadStream, streamID, len(p.queues))
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.inflight++
-	p.mu.Unlock()
-	p.queues[streamID] <- t
 	return nil
 }
 

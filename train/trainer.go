@@ -49,10 +49,9 @@ type broadcaster interface {
 	Broadcast(t *tensor.Tensor, root int) error
 }
 
-// priorityRegistrar is implemented by engines whose scheduler orders
-// gradient transfers by forward layer index (the AIACC engine's
-// priority-driven bucket scheduler); engines without it register flat and
-// ignore layer information.
+// priorityRegistrar is implemented by engines that order gradient transfers
+// by forward layer index (the AIACC engine's reverse-topological packing);
+// engines without it register flat and ignore layer information.
 type priorityRegistrar interface {
 	RegisterWithPriority(name string, elems, priority int) error
 }

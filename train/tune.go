@@ -139,9 +139,6 @@ func ApplyParams(base engine.Config, p autotune.Params) engine.Config {
 	cfg.GranularityBytes = p.GranularityBytes
 	cfg.SegmentBytes = p.SegmentBytes
 	cfg.MinSyncBytes = 0 // re-derive from the new granularity
-	// Ring only: NewEngine clamps the depth to 0 under the hierarchical
-	// algorithm, so a tree candidate simply runs unscheduled.
-	cfg.PriorityDepth = p.PriorityDepth
 	if p.Algorithm == autotune.AlgoTree {
 		cfg.Algorithm = engine.Hierarchical
 		if p.GPUsPerNode > 0 {

@@ -22,7 +22,6 @@ func smallSpace() autotune.Space {
 		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
 		Segments:      []int64{16 << 10, 64 << 10},
 		NodeGroups:    []int{1, 2},
-		Depths:        []int{0, 2},
 	}
 }
 

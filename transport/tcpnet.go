@@ -960,6 +960,7 @@ func (e *tcpEndpoint) Recv(from, stream int) ([]byte, error) {
 		defer timer.Stop()
 		deadline = timer.C
 	}
+	down := e.peerDown[from]
 	for {
 		select {
 		case <-e.closed:
@@ -969,7 +970,7 @@ func (e *tcpEndpoint) Recv(from, stream int) ([]byte, error) {
 				e.met.recvWaitNs.ObserveSince(t0)
 			}
 			return e.delivered(data, ok, from, stream, idx)
-		case <-e.peerDown[from]:
+		case <-down:
 			// Frames decoded before the connection died are still valid.
 			select {
 			case data, ok := <-inbox:
@@ -980,6 +981,14 @@ func (e *tcpEndpoint) Recv(from, stream int) ([]byte, error) {
 			case <-e.closed:
 				return nil, ErrClosed
 			default:
+			}
+			if errors.Is(e.downErr[from], io.EOF) {
+				// A clean close shuts all of the peer's sockets at once, and
+				// another lane's reader saw it first: this lane's reader still
+				// delivers the frames written before the close, then ends the
+				// inbox with its own EOF.
+				down = nil
+				continue
 			}
 			return nil, fmt.Errorf("recv %d<-%d stream %d: %w", e.rank, from, stream,
 				&PeerFailedError{Rank: from, Cause: e.downErr[from]})

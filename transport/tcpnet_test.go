@@ -344,3 +344,36 @@ func TestTCPCombinedWritesDeliverAll(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A frame written before the peer closed must still be delivered, even when
+// the peer's other sockets report EOF first: Close on one endpoint shuts all
+// of its lanes at once, and the readers of idle lanes see EOF before the busy
+// lane's reader has decoded its last frame.
+func TestTCPFrameBeforePeerCloseDelivered(t *testing.T) {
+	const streams, payload = 3, 256 << 10
+	for trial := 0; trial < 30; trial++ {
+		net_, err := NewTCP(2, streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep0, _ := net_.Endpoint(0)
+		ep1, _ := net_.Endpoint(1)
+		msg := make([]byte, payload)
+		msg[payload-1] = 7
+		if err := ep1.Send(0, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+		_ = ep1.Close()
+		got, err := ep0.Recv(1, 0)
+		if err != nil {
+			t.Fatalf("trial %d: frame sent before Close lost: %v", trial, err)
+		}
+		if len(got) != payload || got[payload-1] != 7 {
+			t.Fatalf("trial %d: got %d bytes", trial, len(got))
+		}
+		if _, err := ep0.Recv(1, 0); !errors.Is(err, ErrPeerFailed) {
+			t.Fatalf("trial %d: Recv after the last frame = %v, want ErrPeerFailed", trial, err)
+		}
+		_ = net_.Close()
+	}
+}
