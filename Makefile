@@ -5,8 +5,8 @@
 # packages that exercise the transport ownership contract, a smoke run of
 # the live/codec/TCP/shm microbenchmarks (1 iteration — catches benchmark bit-rot,
 # not performance), the metrics-overhead gate (alloc-free increments plus
-# the <2% instrumentation bound on the live all-reduce), and a vet + build of
-# the perfbench module against the current library API.
+# the <2% instrumentation bound on the live all-reduce), and a vet + build +
+# test of the perfbench module against the current library API.
 
 GO ?= go
 
@@ -52,11 +52,11 @@ metrics-overhead:
 	AIACC_OVERHEAD_GATE=1 $(GO) test -run 'TestMetricsOverheadGate|TestHeartbeatOverheadGate' -count=1 .
 
 # perfbench/ is a Go module of its own (it drives the library through its
-# public API), so the root `go build ./...` never compiles it. Vet and build it
-# here so an exported-API change that breaks the benchmark fails CI. The
-# binary is discarded; perfbench/run.sh builds its own.
+# public API), so the root `go build ./...` never compiles it. Vet, build and
+# test it here so a library change that breaks the benchmark or its workloads
+# fails CI. The binary is discarded; perfbench/run.sh builds its own.
 perfbench-build:
-	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 # Full live-path benchmark numbers (recorded in BENCH_pr1.json and, for the
 # TCP data plane, BENCH_pr2.json).

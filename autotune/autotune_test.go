@@ -22,7 +22,7 @@ func syntheticCost(space Space, opt Params) Evaluator {
 			d2 += d * d
 		}
 		// Mild deterministic ripple so searchers see realistic structure.
-		ripple := 0.01 * math.Sin(13*x[0]+7*x[1]+3*x[2]+5*x[3]+11*x[4])
+		ripple := 0.01 * math.Sin(13*x[DimStreams]+7*x[DimGranularity]+5*x[DimSegment]+11*x[DimNodeGroup])
 		return 0.1 + d2 + ripple
 	}
 }
@@ -32,8 +32,8 @@ func TestSpaceBasics(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Size() != 7*8*2*5*4 {
-		t.Errorf("Size = %d, want 2240", s.Size())
+	if s.Size() != 7*8*5*4 {
+		t.Errorf("Size = %d, want 1120", s.Size())
 	}
 	// At/Index round-trip over the full space.
 	for i := 0; i < s.Size(); i++ {
@@ -46,7 +46,7 @@ func TestSpaceBasics(t *testing.T) {
 	if s.At(s.Size()) != s.At(0) || s.At(-1) != s.At(s.Size()-1) {
 		t.Error("At must wrap modulo Size")
 	}
-	if s.Index(Params{Streams: 3, GranularityBytes: 1, Algorithm: "x"}) != -1 {
+	if s.Index(Params{Streams: 3, GranularityBytes: 1}) != -1 {
 		t.Error("Index of foreign point must be -1")
 	}
 	if err := (Space{}).Validate(); !errors.Is(err, ErrBadSpace) {
@@ -56,30 +56,32 @@ func TestSpaceBasics(t *testing.T) {
 
 func TestSpaceNeighbor(t *testing.T) {
 	s := DefaultSpace()
-	p := Params{Streams: 8, GranularityBytes: 8 << 20, Algorithm: AlgoRing, SegmentBytes: 256 << 10}
-	up := s.Neighbor(p, 0, 1)
+	p := Params{Streams: 8, GranularityBytes: 8 << 20, SegmentBytes: 256 << 10, GPUsPerNode: 1}
+	up := s.Neighbor(p, DimStreams, 1)
 	if up.Streams != 12 {
 		t.Errorf("streams neighbor = %d, want 12", up.Streams)
 	}
-	down := s.Neighbor(p, 1, -1)
+	down := s.Neighbor(p, DimGranularity, -1)
 	if down.GranularityBytes != 4<<20 {
 		t.Errorf("granularity neighbor = %d", down.GranularityBytes)
 	}
-	flip := s.Neighbor(p, 2, 1)
-	if flip.Algorithm != AlgoTree {
-		t.Errorf("algorithm neighbor = %s", flip.Algorithm)
-	}
-	seg := s.Neighbor(p, 3, 1)
+	seg := s.Neighbor(p, DimSegment, 1)
 	if seg.SegmentBytes != 1<<20 {
 		t.Errorf("segment neighbor = %d", seg.SegmentBytes)
 	}
+	if grp := s.Neighbor(p, DimNodeGroup, 1); grp.GPUsPerNode != 2 {
+		t.Errorf("node-group neighbor = %d, want 2", grp.GPUsPerNode)
+	}
 	// Clamping at the boundary.
-	edge := Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20}
-	if got := s.Neighbor(edge, 0, 1); got.Streams != 24 {
+	edge := Params{Streams: 24, GranularityBytes: 64 << 20, SegmentBytes: 4 << 20, GPUsPerNode: 8}
+	if got := s.Neighbor(edge, DimStreams, 1); got.Streams != 24 {
 		t.Error("neighbor must clamp at the top")
 	}
-	if got := s.Neighbor(edge, 3, 1); got.SegmentBytes != 4<<20 {
+	if got := s.Neighbor(edge, DimSegment, 1); got.SegmentBytes != 4<<20 {
 		t.Error("segment neighbor must clamp at the top")
+	}
+	if got := s.Neighbor(edge, DimNodeGroup, 1); got.GPUsPerNode != 8 {
+		t.Error("node-group neighbor must clamp at the top")
 	}
 }
 
@@ -93,12 +95,12 @@ func TestNormalizeRange(t *testing.T) {
 			}
 		}
 	}
-	lo := s.Normalize(Params{Streams: 1, GranularityBytes: 512 << 10, Algorithm: AlgoRing, SegmentBytes: 64 << 10, GPUsPerNode: 1})
-	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, Algorithm: AlgoTree, SegmentBytes: 4 << 20, GPUsPerNode: 8})
-	if lo != [5]float64{0, 0, 0, 0, 0} {
+	lo := s.Normalize(Params{Streams: 1, GranularityBytes: 512 << 10, SegmentBytes: 64 << 10, GPUsPerNode: 1})
+	hi := s.Normalize(Params{Streams: 24, GranularityBytes: 64 << 20, SegmentBytes: 4 << 20, GPUsPerNode: 8})
+	if lo != [Dims]float64{0, 0, 0, 0} {
 		t.Errorf("low corner = %v", lo)
 	}
-	if hi != [5]float64{1, 1, 1, 1, 1} {
+	if hi != [Dims]float64{1, 1, 1, 1} {
 		t.Errorf("high corner = %v", hi)
 	}
 }
@@ -107,7 +109,7 @@ func TestNormalizeRange(t *testing.T) {
 // budget on the synthetic surface.
 func TestSearchersConverge(t *testing.T) {
 	space := DefaultSpace()
-	opt := Params{Streams: 8, GranularityBytes: 8 << 20, Algorithm: AlgoRing, SegmentBytes: 256 << 10, GPUsPerNode: 1}
+	opt := Params{Streams: 8, GranularityBytes: 8 << 20, SegmentBytes: 256 << 10, GPUsPerNode: 1}
 	eval := syntheticCost(space, opt)
 	mk := map[string]func() Searcher{
 		"grid":      func() Searcher { return NewGrid(space) },
@@ -157,7 +159,7 @@ func TestSearchersConverge(t *testing.T) {
 
 func TestMetaFindsOptimum(t *testing.T) {
 	space := DefaultSpace()
-	opt := Params{Streams: 12, GranularityBytes: 4 << 20, Algorithm: AlgoRing, SegmentBytes: 128 << 10}
+	opt := Params{Streams: 12, GranularityBytes: 4 << 20, SegmentBytes: 128 << 10}
 	eval := syntheticCost(space, opt)
 	m, err := NewMeta(DefaultEnsemble(space, 42))
 	if err != nil {
@@ -223,7 +225,7 @@ func TestMetaBudgetValidation(t *testing.T) {
 
 func TestMetaDeterminism(t *testing.T) {
 	space := DefaultSpace()
-	eval := syntheticCost(space, Params{Streams: 4, GranularityBytes: 2 << 20, Algorithm: AlgoTree})
+	eval := syntheticCost(space, Params{Streams: 4, GranularityBytes: 2 << 20})
 	run := func() Params {
 		m, err := NewMeta(DefaultEnsemble(space, 7))
 		if err != nil {
@@ -254,7 +256,7 @@ func TestCacheWarmStart(t *testing.T) {
 	c := NewCache(0)
 	rn50 := model.ResNet50()
 	topo32 := netmodel.V100Cluster(32)
-	tuned := Params{Streams: 8, GranularityBytes: 8 << 20, Algorithm: AlgoRing, SegmentBytes: 256 << 10}
+	tuned := Params{Streams: 8, GranularityBytes: 8 << 20, SegmentBytes: 256 << 10}
 	c.Store(rn50, topo32, tuned)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
@@ -281,8 +283,8 @@ func TestCacheWarmStart(t *testing.T) {
 
 func TestCachePrefersNearest(t *testing.T) {
 	c := NewCache(1e9) // accept anything; test ordering only
-	pSmall := Params{Streams: 2, GranularityBytes: 1 << 20, Algorithm: AlgoRing}
-	pBig := Params{Streams: 24, GranularityBytes: 32 << 20, Algorithm: AlgoRing}
+	pSmall := Params{Streams: 2, GranularityBytes: 1 << 20}
+	pBig := Params{Streams: 24, GranularityBytes: 32 << 20}
 	c.Store(model.ResNet50(), netmodel.V100Cluster(8), pSmall)
 	c.Store(model.ResNet50(), netmodel.V100Cluster(256), pBig)
 	got, _, ok := c.Lookup(model.ResNet50(), netmodel.V100Cluster(240))

@@ -181,7 +181,10 @@ func TestPBTEvolve(t *testing.T) {
 			if m.GranularityBytes != winner.GranularityBytes {
 				d++
 			}
-			if m.Algorithm != winner.Algorithm {
+			if m.SegmentBytes != winner.SegmentBytes {
+				d++
+			}
+			if m.GPUsPerNode != winner.GPUsPerNode {
 				d++
 			}
 			if d <= 1 {

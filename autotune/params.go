@@ -1,8 +1,8 @@
 // Package autotune finds the gradient-communication hyper-parameters of
 // AIACC-Training at runtime (§VI): the number of concurrent communication
-// streams, the all-reduce unit granularity, the all-reduce algorithm, the
-// ring wire-pipelining segment size and the hierarchy topology (GPUs per
-// node group).
+// streams, the all-reduce unit granularity, the ring wire-pipelining segment
+// size and the all-reduce node grouping (GPUs per node; 1 is the flat ring,
+// larger groupings the paper's hierarchical "tree" all-reduce).
 //
 // The search problem is formulated as a multi-armed bandit over an ensemble
 // of search techniques — grid search, population based training, Bayesian
@@ -25,10 +25,16 @@ import (
 // ErrBadSpace indicates an empty or inconsistent search space.
 var ErrBadSpace = errors.New("autotune: bad search space")
 
-// Algorithm names searched by the tuner.
+// The search dimensions, in Space.At's lexicographic order. Neighbor's dim
+// argument and Normalize's coordinates index them.
 const (
-	AlgoRing = "ring"
-	AlgoTree = "tree"
+	DimStreams = iota
+	DimGranularity
+	DimSegment
+	DimNodeGroup
+
+	// Dims is the number of search dimensions.
+	Dims
 )
 
 // Params is one point in the communication-parameter space.
@@ -37,21 +43,19 @@ type Params struct {
 	Streams int
 	// GranularityBytes is the all-reduce unit size.
 	GranularityBytes int64
-	// Algorithm is AlgoRing or AlgoTree.
-	Algorithm string
 	// SegmentBytes is the ring wire-pipelining segment size (fp32 data bytes
 	// per wire frame).
 	SegmentBytes int64
-	// GPUsPerNode is the hierarchy topology for AlgoTree: ranks per node
-	// group of the two-level schedule. 1 means flat (every rank its own
-	// node — the tree degenerates to the ring); ignored by AlgoRing.
+	// GPUsPerNode is the all-reduce node grouping: ranks per node of the
+	// two-level hierarchical schedule, the paper's "tree" all-reduce. 1 (or
+	// 0) means every rank is its own node, which is the flat ring.
 	GPUsPerNode int
 }
 
 // String implements fmt.Stringer.
 func (p Params) String() string {
-	return fmt.Sprintf("{streams=%d granularity=%dKiB algo=%s segment=%dKiB perNode=%d}",
-		p.Streams, p.GranularityBytes>>10, p.Algorithm, p.SegmentBytes>>10, p.GPUsPerNode)
+	return fmt.Sprintf("{streams=%d granularity=%dKiB segment=%dKiB perNode=%d}",
+		p.Streams, p.GranularityBytes>>10, p.SegmentBytes>>10, p.GPUsPerNode)
 }
 
 // Space is the discrete search space.
@@ -60,25 +64,22 @@ type Space struct {
 	Streams []int
 	// Granularities lists candidate unit sizes in bytes, ascending.
 	Granularities []int64
-	// Algorithms lists candidate all-reduce algorithms.
-	Algorithms []string
 	// Segments lists candidate ring pipelining segment sizes in bytes,
 	// ascending.
 	Segments []int64
-	// NodeGroups lists candidate GPUsPerNode values for the hierarchical
-	// algorithm, ascending. Values that do not divide the world size are
-	// sanitized by the evaluator, not the space.
+	// NodeGroups lists candidate GPUsPerNode values, ascending; 1 is the
+	// flat ring. Values that do not divide the world size are sanitized by
+	// the evaluator, not the space.
 	NodeGroups []int
 }
 
 // DefaultSpace returns the space AIACC-Training searches in production:
-// 2-24 streams (§VIII-D), 512 KiB - 64 MiB units, ring and tree all-reduce,
-// 64 KiB - 4 MiB wire segments, and node groups of 1 (flat) to 8.
+// 2-24 streams (§VIII-D), 512 KiB - 64 MiB units, 64 KiB - 4 MiB wire
+// segments, and node groups of 1 (the flat ring) to 8.
 func DefaultSpace() Space {
 	return Space{
 		Streams:       []int{1, 2, 4, 8, 12, 16, 24},
 		Granularities: []int64{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20},
-		Algorithms:    []string{AlgoRing, AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 256 << 10, 1 << 20, 4 << 20},
 		NodeGroups:    []int{1, 2, 4, 8},
 	}
@@ -86,22 +87,20 @@ func DefaultSpace() Space {
 
 // Validate checks the space is non-empty in every dimension.
 func (s Space) Validate() error {
-	if len(s.Streams) == 0 || len(s.Granularities) == 0 || len(s.Algorithms) == 0 ||
-		len(s.Segments) == 0 || len(s.NodeGroups) == 0 {
-		return fmt.Errorf("%w: %d streams x %d granularities x %d algorithms x %d segments x %d node groups",
-			ErrBadSpace, len(s.Streams), len(s.Granularities), len(s.Algorithms), len(s.Segments), len(s.NodeGroups))
+	if len(s.Streams) == 0 || len(s.Granularities) == 0 || len(s.Segments) == 0 || len(s.NodeGroups) == 0 {
+		return fmt.Errorf("%w: %d streams x %d granularities x %d segments x %d node groups",
+			ErrBadSpace, len(s.Streams), len(s.Granularities), len(s.Segments), len(s.NodeGroups))
 	}
 	return nil
 }
 
 // Size returns the number of points.
 func (s Space) Size() int {
-	return len(s.Streams) * len(s.Granularities) * len(s.Algorithms) * len(s.Segments) *
-		len(s.NodeGroups)
+	return len(s.Streams) * len(s.Granularities) * len(s.Segments) * len(s.NodeGroups)
 }
 
-// At returns point i in lexicographic (algorithm, streams, granularity,
-// segment, node group) order; i is taken modulo Size.
+// At returns point i in lexicographic (streams, granularity, segment, node
+// group) order; i is taken modulo Size.
 func (s Space) At(i int) Params {
 	n := s.Size()
 	i = ((i % n) + n) % n
@@ -112,12 +111,9 @@ func (s Space) At(i int) Params {
 	g := i % len(s.Granularities)
 	i /= len(s.Granularities)
 	st := i % len(s.Streams)
-	i /= len(s.Streams)
-	a := i % len(s.Algorithms)
 	return Params{
 		Streams:          s.Streams[st],
 		GranularityBytes: s.Granularities[g],
-		Algorithm:        s.Algorithms[a],
 		SegmentBytes:     s.Segments[sg],
 		GPUsPerNode:      s.NodeGroups[ng],
 	}
@@ -128,29 +124,25 @@ func (s Space) At(i int) Params {
 func (s Space) Index(p Params) int {
 	st := indexOfInt(s.Streams, p.Streams)
 	g := indexOfInt64(s.Granularities, p.GranularityBytes)
-	a := indexOfString(s.Algorithms, p.Algorithm)
 	sg := indexOfInt64(s.Segments, p.SegmentBytes)
 	ng := indexOfInt(s.NodeGroups, p.GPUsPerNode)
-	if st < 0 || g < 0 || a < 0 || sg < 0 || ng < 0 {
+	if st < 0 || g < 0 || sg < 0 || ng < 0 {
 		return -1
 	}
-	return (((a*len(s.Streams)+st)*len(s.Granularities)+g)*len(s.Segments)+sg)*len(s.NodeGroups) + ng
+	return ((st*len(s.Granularities)+g)*len(s.Segments)+sg)*len(s.NodeGroups) + ng
 }
 
-// Neighbor returns p with one dimension moved by one step (dim in 0..4,
-// dir ±1), clamped to the space — the PBT explore move.
+// Neighbor returns p with one dimension moved by one step (dim in
+// [0, Dims), dir ±1), clamped to the space — the PBT explore move.
 func (s Space) Neighbor(p Params, dim, dir int) Params {
 	switch dim {
-	case 0:
+	case DimStreams:
 		i := clamp(indexOfInt(s.Streams, p.Streams)+dir, 0, len(s.Streams)-1)
 		p.Streams = s.Streams[i]
-	case 1:
+	case DimGranularity:
 		i := clamp(indexOfInt64(s.Granularities, p.GranularityBytes)+dir, 0, len(s.Granularities)-1)
 		p.GranularityBytes = s.Granularities[i]
-	case 2:
-		i := clamp(indexOfString(s.Algorithms, p.Algorithm)+dir, 0, len(s.Algorithms)-1)
-		p.Algorithm = s.Algorithms[i]
-	case 3:
+	case DimSegment:
 		i := clamp(indexOfInt64(s.Segments, p.SegmentBytes)+dir, 0, len(s.Segments)-1)
 		p.SegmentBytes = s.Segments[i]
 	default:
@@ -160,24 +152,21 @@ func (s Space) Neighbor(p Params, dim, dir int) Params {
 	return p
 }
 
-// Normalize maps p to [0,1]^5 for the Bayesian optimizer's kernel: log-scale
-// positions within each numeric dimension.
-func (s Space) Normalize(p Params) [5]float64 {
-	var v [5]float64
+// Normalize maps p to [0,1]^Dims for the Bayesian optimizer's kernel:
+// log-scale positions within each dimension.
+func (s Space) Normalize(p Params) [Dims]float64 {
+	var v [Dims]float64
 	if len(s.Streams) > 1 {
-		v[0] = logPos(float64(p.Streams), float64(s.Streams[0]), float64(s.Streams[len(s.Streams)-1]))
+		v[DimStreams] = logPos(float64(p.Streams), float64(s.Streams[0]), float64(s.Streams[len(s.Streams)-1]))
 	}
 	if len(s.Granularities) > 1 {
-		v[1] = logPos(float64(p.GranularityBytes), float64(s.Granularities[0]), float64(s.Granularities[len(s.Granularities)-1]))
-	}
-	if i := indexOfString(s.Algorithms, p.Algorithm); i > 0 && len(s.Algorithms) > 1 {
-		v[2] = float64(i) / float64(len(s.Algorithms)-1)
+		v[DimGranularity] = logPos(float64(p.GranularityBytes), float64(s.Granularities[0]), float64(s.Granularities[len(s.Granularities)-1]))
 	}
 	if len(s.Segments) > 1 {
-		v[3] = logPos(float64(p.SegmentBytes), float64(s.Segments[0]), float64(s.Segments[len(s.Segments)-1]))
+		v[DimSegment] = logPos(float64(p.SegmentBytes), float64(s.Segments[0]), float64(s.Segments[len(s.Segments)-1]))
 	}
 	if len(s.NodeGroups) > 1 {
-		v[4] = logPos(float64(p.GPUsPerNode), float64(s.NodeGroups[0]), float64(s.NodeGroups[len(s.NodeGroups)-1]))
+		v[DimNodeGroup] = logPos(float64(p.GPUsPerNode), float64(s.NodeGroups[0]), float64(s.NodeGroups[len(s.NodeGroups)-1]))
 	}
 	return v
 }
@@ -209,15 +198,6 @@ func indexOfInt(xs []int, x int) int {
 }
 
 func indexOfInt64(xs []int64, x int64) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexOfString(xs []string, x string) int {
 	for i, v := range xs {
 		if v == x {
 			return i

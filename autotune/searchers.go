@@ -96,7 +96,7 @@ func (p *PBT) evolve() {
 	for i := k / 2; i < k; i++ {
 		src := order[i-k/2]
 		dst := order[i]
-		perturbed := p.space.Neighbor(p.population[src], p.rng.Intn(5), 1-2*p.rng.Intn(2))
+		perturbed := p.space.Neighbor(p.population[src], p.rng.Intn(Dims), 1-2*p.rng.Intn(2))
 		p.population[dst] = perturbed
 	}
 }

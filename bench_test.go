@@ -226,11 +226,7 @@ func BenchmarkDAWNBench(b *testing.B) {
 func BenchmarkAutoTune(b *testing.B) {
 	eval := func(p autotune.Params, iters int) float64 {
 		cfg := simConfig(model.ResNet50(), 64, cluster.AIACC)
-		cfg.Engine.Streams = p.Streams
-		cfg.Engine.GranularityBytes = p.GranularityBytes
-		if p.Algorithm == autotune.AlgoTree {
-			cfg.Engine.Algorithm = cluster.Hierarchical
-		}
+		cfg.Engine = cluster.ApplyParams(cfg.Engine, p)
 		res, err := cluster.Simulate(cfg)
 		if err != nil {
 			return 1e9

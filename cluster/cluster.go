@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"aiacc/autotune"
 	"aiacc/internal/sim"
 	"aiacc/model"
 	"aiacc/netmodel"
@@ -160,6 +161,22 @@ func EngineDefaults(kind EngineKind) Engine {
 		return Engine{Kind: AIACC, Streams: 8, GranularityBytes: 8 << 20, Algorithm: Ring,
 			WireBytesPerElem: 4, SegmentBytes: 256 << 10}
 	}
+}
+
+// ApplyParams maps tuned communication parameters onto a simulated engine,
+// the simulator's counterpart of train.ApplyParams. The simulator prices
+// hierarchy only at the topology's physical node boundary, so any tuned
+// node grouping above one rank per node selects the hierarchical all-reduce
+// and 0 or 1 the flat ring.
+func ApplyParams(e Engine, p autotune.Params) Engine {
+	e.Streams = p.Streams
+	e.GranularityBytes = p.GranularityBytes
+	e.SegmentBytes = p.SegmentBytes
+	e.Algorithm = Ring
+	if p.GPUsPerNode > 1 {
+		e.Algorithm = Hierarchical
+	}
+	return e
 }
 
 // Calibration collects the timing constants of the simulation. Defaults are

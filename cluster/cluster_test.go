@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"aiacc/autotune"
 	"aiacc/model"
 	"aiacc/netmodel"
 )
@@ -428,5 +429,30 @@ func TestDeterminism(t *testing.T) {
 	b := simOrFatal(t, aiaccConfig(32, model.ResNet50()))
 	if a != b {
 		t.Errorf("simulation not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestApplyParams pins the one tuned-params mapping onto the simulator:
+// streams, granularity and segment size copy through, and only a node
+// grouping above one rank per node selects the hierarchical all-reduce.
+func TestApplyParams(t *testing.T) {
+	base := EngineDefaults(AIACC)
+	base.Algorithm = Hierarchical // overwritten by every mapping
+	for _, tc := range []struct {
+		gpusPerNode int
+		want        Algorithm
+	}{
+		{gpusPerNode: 0, want: Ring},
+		{gpusPerNode: 1, want: Ring},
+		{gpusPerNode: 2, want: Hierarchical},
+		{gpusPerNode: 8, want: Hierarchical},
+	} {
+		p := autotune.Params{Streams: 12, GranularityBytes: 2 << 20, SegmentBytes: 64 << 10, GPUsPerNode: tc.gpusPerNode}
+		got := ApplyParams(base, p)
+		want := base
+		want.Streams, want.GranularityBytes, want.SegmentBytes, want.Algorithm = 12, 2<<20, 64<<10, tc.want
+		if got != want {
+			t.Errorf("gpusPerNode %d: ApplyParams = %+v, want %+v", tc.gpusPerNode, got, want)
+		}
 	}
 }

@@ -45,20 +45,16 @@ func run() error {
 	}
 	fmt.Printf("tuning %s on %d GPUs (budget %d iterations)\n", m.Name, *gpus, *budget)
 
+	base := cluster.Config{
+		Topology:      netmodel.V100Cluster(*gpus),
+		GPU:           cluster.V100(),
+		Model:         m,
+		Engine:        cluster.EngineDefaults(cluster.AIACC),
+		Decentralized: true,
+	}
 	mk := func(p autotune.Params) cluster.Config {
-		cfg := cluster.Config{
-			Topology:      netmodel.V100Cluster(*gpus),
-			GPU:           cluster.V100(),
-			Model:         m,
-			Engine:        cluster.EngineDefaults(cluster.AIACC),
-			Decentralized: true,
-		}
-		cfg.Engine.Streams = p.Streams
-		cfg.Engine.GranularityBytes = p.GranularityBytes
-		cfg.Engine.SegmentBytes = p.SegmentBytes
-		if p.Algorithm == autotune.AlgoTree && p.GPUsPerNode != 1 {
-			cfg.Engine.Algorithm = cluster.Hierarchical
-		}
+		cfg := base
+		cfg.Engine = cluster.ApplyParams(cfg.Engine, p)
 		return cfg
 	}
 	eval := func(p autotune.Params, iters int) float64 {
@@ -91,11 +87,7 @@ func run() error {
 	}
 
 	// Report the chosen setting against the untuned default.
-	defRes, err := cluster.Simulate(mk(autotune.Params{
-		Streams:          cluster.EngineDefaults(cluster.AIACC).Streams,
-		GranularityBytes: cluster.EngineDefaults(cluster.AIACC).GranularityBytes,
-		Algorithm:        autotune.AlgoRing,
-	}))
+	defRes, err := cluster.Simulate(base)
 	if err != nil {
 		return err
 	}

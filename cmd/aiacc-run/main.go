@@ -45,7 +45,6 @@ func liveSpace() autotune.Space {
 	return autotune.Space{
 		Streams:       []int{1, 2, 4, 8},
 		Granularities: []int64{256 << 10, 1 << 20, 4 << 20},
-		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
 		Segments:      []int64{64 << 10, 128 << 10, 512 << 10},
 		NodeGroups:    []int{1, 2, 4},
 	}
@@ -71,8 +70,7 @@ func run() error {
 		opTimeout   = flag.Duration("op-timeout", 0, "bound every blocking transport send/recv; a stuck operation fails with a timeout instead of hanging (0 = unbounded)")
 		heartbeat   = flag.Duration("heartbeat", 0, "TCP liveness probe interval; a peer silent for 4 intervals is declared failed (0 = off)")
 		coordinator = flag.String("coordinator", "decentralized", "readiness coordinator: decentralized | master")
-		algorithm   = flag.String("algorithm", "ring", "all-reduce algorithm: ring | hierarchical")
-		perNode     = flag.Int("gpus-per-node", 2, "workers per simulated node (hierarchical algorithm)")
+		perNode     = flag.Int("gpus-per-node", 1, "workers per simulated node: 1 runs the flat ring, larger groupings the two-level hierarchical all-reduce")
 		fp16        = flag.Bool("fp16", false, "compress gradients to fp16 on the wire")
 		nanCheck    = flag.Bool("nan-check", false, "scan pushed gradients for non-finite values")
 		autotune0   = flag.Bool("autotune", false, "run the live warm-up auto-tuner before training")
@@ -115,14 +113,6 @@ func run() error {
 		cfg.Coordinator = engine.Master
 	default:
 		return fmt.Errorf("unknown coordinator %q", *coordinator)
-	}
-	switch *algorithm {
-	case "ring":
-		cfg.Algorithm = engine.Ring
-	case "hierarchical":
-		cfg.Algorithm = engine.Hierarchical
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algorithm)
 	}
 	if *fp16 {
 		cfg.Codec = compress.FP16{}
@@ -212,9 +202,9 @@ func run() error {
 	defer func() { _ = net.Close() }()
 
 	m := m0
-	fmt.Printf("training %s on %d workers (%s transport, %d streams, %s units, %s sync, %s all-reduce)\n",
+	fmt.Printf("training %s on %d workers (%s transport, %d streams, %s units, %s sync, %d GPUs per node)\n",
 		m.Name, *workers, *trans, cfg.Streams, byteSize(cfg.GranularityBytes),
-		cfg.Coordinator, cfg.Algorithm)
+		cfg.Coordinator, cfg.GPUsPerNode)
 	fmt.Printf("model: %.1fM parameters, %d gradient tensors, %s gradient volume per iteration\n",
 		float64(m.NumParams())/1e6, m.NumGradients(), byteSize(m.GradBytes()))
 

@@ -314,66 +314,6 @@ func broadcastCodec(c *mpi.Comm, stream, root int, data []float32, codec compres
 	return nil
 }
 
-// AllGather collects each rank's input and returns the concatenation ordered
-// by rank. Inputs may have different lengths. Implemented as a ring pass:
-// n-1 steps, each forwarding the previously received block. The returned
-// blocks are owned by the caller and alias nothing.
-func AllGather(c *mpi.Comm, stream int, mine []byte) ([][]byte, error) {
-	out, err := allGather(c, stream, mine)
-	return out, Unwind(c, stream, err)
-}
-
-func allGather(c *mpi.Comm, stream int, mine []byte) ([][]byte, error) {
-	n := c.Size()
-	out := make([][]byte, n)
-	myCopy := make([]byte, len(mine))
-	copy(myCopy, mine)
-	out[c.Rank()] = myCopy
-	if n == 1 {
-		return out, nil
-	}
-	next := (c.Rank() + 1) % n
-	prev := (c.Rank() - 1 + n) % n
-	defer obsOp(mAllGather, opStart())
-
-	async := sendpool.Acquire()
-	inflight := false
-	defer func() {
-		if inflight {
-			sendpool.Abandon(async)
-		} else {
-			sendpool.Release(async)
-		}
-	}()
-
-	// The first send must be a copy: `mine` stays owned by the caller while
-	// Send transfers payload ownership to the receiver.
-	sendBlock := append([]byte(nil), mine...)
-	for step := 0; step < n-1; step++ {
-		async.Send(c, next, stream, sendBlock)
-		inflight = true
-		payload, err := c.Recv(prev, stream)
-		if err != nil {
-			return nil, fmt.Errorf("all-gather recv step %d: %w", step, err)
-		}
-		if err := async.Wait(); err != nil {
-			recycleWire(payload)
-			return nil, fmt.Errorf("all-gather send step %d: %w", step, err)
-		}
-		inflight = false
-		origin := (c.Rank() - step - 1 + 2*n) % n
-		if step < n-2 {
-			// The payload travels on; the caller keeps a private copy.
-			out[origin] = append([]byte(nil), payload...)
-			sendBlock = payload
-		} else {
-			// Final block is not forwarded: keep it without copying.
-			out[origin] = payload
-		}
-	}
-	return out, nil
-}
-
 // AndAllReduceBits performs an in-place all-reduce with bit-wise AND over a
 // packed bit vector. This is the decentralized gradient-readiness agreement
 // of §V-A: each worker contributes a vector with bit g set iff gradient g is
@@ -484,7 +424,6 @@ func hierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 		return fmt.Errorf("%w: size %d is not divisible by gpusPerNode %d: hierarchical all-reduce needs equally sized nodes",
 			mpi.ErrBadGroup, c.Size(), gpusPerNode)
 	}
-	defer obsOp(mHierarchical, opStart())
 	if gpusPerNode == 1 {
 		// Every rank is its own node: the cross-node level IS the flat ring.
 		return ringAllReduceCodec(c, stream, data, op, codec, opts...)
@@ -497,6 +436,7 @@ func hierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []flo
 		// Single node: the intra level is the whole reduction.
 		return ringAllReduceCodec(node, stream, data, op, codec, opts...)
 	}
+	defer obsOp(mHierarchical, opStart())
 	cross, err := c.CrossNodeGroup(gpusPerNode)
 	if err != nil {
 		return fmt.Errorf("hierarchical all-reduce cross group: %w", err)
@@ -527,9 +467,13 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 	// side ever blocks on the channels themselves.
 	reqs := make(chan []float32, blocks)
 	done := make(chan error, blocks)
+	// The worker gets the resolved segment size by value: capturing opts
+	// would move every caller's variadic slice to the heap, the flat-ring
+	// calls included.
+	seg := WithSegmentBytes(buildOptions(opts).segBytes)
 	go func() {
 		for shard := range reqs {
-			done <- RingAllReduceCodec(cross, stream, shard, op, codec, opts...)
+			done <- RingAllReduceCodec(cross, stream, shard, op, codec, seg)
 		}
 	}()
 	issued := 0

@@ -193,39 +193,6 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 5, 8} {
-		runRanks(t, size, 1, func(c *mpi.Comm) error {
-			// Variable-length contributions.
-			mine := make([]byte, c.Rank()+1)
-			for i := range mine {
-				mine[i] = byte(c.Rank())
-			}
-			got, err := AllGather(c, 0, mine)
-			if err != nil {
-				return err
-			}
-			if len(got) != size {
-				t.Errorf("AllGather returned %d blocks, want %d", len(got), size)
-				return nil
-			}
-			for r, block := range got {
-				if len(block) != r+1 {
-					t.Errorf("rank %d: block %d has len %d, want %d", c.Rank(), r, len(block), r+1)
-					return nil
-				}
-				for _, b := range block {
-					if b != byte(r) {
-						t.Errorf("rank %d: block %d corrupted", c.Rank(), r)
-						return nil
-					}
-				}
-			}
-			return nil
-		})
-	}
-}
-
 func TestAndAllReduceBits(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 4, 8} {
 		runRanks(t, size, 1, func(c *mpi.Comm) error {
@@ -649,6 +616,121 @@ func TestQuickRingAllReduceMatchesSerial(t *testing.T) {
 				if math.Abs(float64(data[i])-want[i]) > 1e-4*float64(size) {
 					t.Errorf("trial %d rank %d elem %d: got %v, want %v",
 						trial, c.Rank(), i, data[i], want[i])
+					return nil
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// ownedChunk returns the [lo, hi) range of the chunk rank r fully reduces in
+// the ring reduce-scatter phase: chunk (r+1) mod n.
+func ownedChunk(c *mpi.Comm, elems int) (int, int) {
+	return chunkBounds(elems, c.Size(), (c.Rank()+1)%c.Size())
+}
+
+// TestReduceScatter runs the ring's reduce-scatter phase on its own, as the
+// two-level hierarchy's intra-node first phase does, and checks each rank's
+// owned chunk holds the full reduction.
+func TestReduceScatter(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 4, 8} {
+		for _, elems := range []int{1, 7, 64, 100} {
+			runRanks(t, size, 1, func(c *mpi.Comm) error {
+				data := make([]float32, elems)
+				for i := range data {
+					data[i] = float32(c.Rank() + i)
+				}
+				if err := ringReduceScatter(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
+					return err
+				}
+				lo, hi := ownedChunk(c, elems)
+				for i := lo; i < hi; i++ {
+					if want := float32(size*(size-1)/2 + i*size); data[i] != want {
+						t.Errorf("size=%d elems=%d rank=%d: data[%d] = %v, want %v",
+							size, elems, c.Rank(), i, data[i], want)
+						return nil
+					}
+				}
+				return nil
+			})
+		}
+	}
+}
+
+// TestReduceScatterMatchesAllReducePrefix pins the standalone reduce-scatter
+// phase bit-for-bit to the same chunk of a full ring all-reduce.
+func TestReduceScatterMatchesAllReducePrefix(t *testing.T) {
+	const size, elems = 4, 37
+	runRanks(t, size, 2, func(c *mpi.Comm) error {
+		mk := func() []float32 {
+			data := make([]float32, elems)
+			for i := range data {
+				data[i] = float32((c.Rank()+1)*(i+1)) * 0.25
+			}
+			return data
+		}
+		ref := mk()
+		if err := RingAllReduce(c, 0, ref, tensor.OpSum); err != nil {
+			return err
+		}
+		data := mk()
+		if err := ringReduceScatter(c, 1, data, tensor.OpSum, compress.FP32{}); err != nil {
+			return err
+		}
+		lo, hi := ownedChunk(c, elems)
+		for i := lo; i < hi; i++ {
+			if math.Float32bits(data[i]) != math.Float32bits(ref[i]) {
+				t.Errorf("rank %d: data[%d] = %v, all-reduce ref %v", c.Rank(), i, data[i], ref[i])
+				return nil
+			}
+		}
+		return nil
+	})
+}
+
+func TestReduceScatterFP16(t *testing.T) {
+	runRanks(t, 3, 1, func(c *mpi.Comm) error {
+		data := make([]float32, 50)
+		for i := range data {
+			data[i] = float32(c.Rank()) + 0.5
+		}
+		if err := ringReduceScatter(c, 0, data, tensor.OpSum, compress.FP16{}); err != nil {
+			return err
+		}
+		lo, hi := ownedChunk(c, len(data))
+		for i := lo; i < hi; i++ {
+			if math.Abs(float64(data[i])-4.5) > 0.01 { // (0.5+1.5+2.5)
+				t.Errorf("rank %d data[%d] = %v, want 4.5", c.Rank(), i, data[i])
+				return nil
+			}
+		}
+		return nil
+	})
+}
+
+// TestAllGather runs the ring's all-gather phase on its own, as the
+// two-level hierarchy's intra-node last phase does: every rank starts with
+// only its owned chunk valid and ends with every chunk.
+func TestAllGather(t *testing.T) {
+	const elems = 29
+	for _, size := range []int{1, 2, 3, 5, 8} {
+		runRanks(t, size, 1, func(c *mpi.Comm) error {
+			want := func(i int) float32 { return float32(i) * 1.5 }
+			data := make([]float32, elems)
+			for i := range data {
+				data[i] = -1
+			}
+			lo, hi := ownedChunk(c, elems)
+			for i := lo; i < hi; i++ {
+				data[i] = want(i)
+			}
+			if err := ringChunkAllGather(c, 0, data, compress.FP32{}); err != nil {
+				return err
+			}
+			for i, v := range data {
+				if v != want(i) {
+					t.Errorf("size=%d rank=%d: data[%d] = %v, want %v", size, c.Rank(), i, v, want(i))
 					return nil
 				}
 			}

@@ -35,7 +35,6 @@ var (
 	mRing         = newOpMetrics("ring_allreduce")
 	mHierarchical = newOpMetrics("hierarchical_allreduce")
 	mBroadcast    = newOpMetrics("broadcast")
-	mAllGather    = newOpMetrics("allgather")
 	mAndBits      = newOpMetrics("and_bits")
 
 	mChunkBytes = metrics.NewHistogram("aiacc_collective_chunk_wire_bytes",

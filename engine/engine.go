@@ -65,30 +65,6 @@ func (e *NaNError) Error() string {
 	return fmt.Sprintf("engine: gradient %q has a non-finite value at element %d", e.Name, e.Index)
 }
 
-// Algorithm selects the all-reduce algorithm.
-type Algorithm int
-
-// Supported all-reduce algorithms (§V-B).
-const (
-	// Ring is the flat bandwidth-optimal ring across all workers.
-	Ring Algorithm = iota + 1
-	// Hierarchical reduces within each node, rings across node leaders,
-	// then broadcasts within nodes — the paper's "tree" all-reduce.
-	Hierarchical
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case Ring:
-		return "ring"
-	case Hierarchical:
-		return "hierarchical"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // CoordinatorKind selects the gradient-readiness agreement protocol.
 type CoordinatorKind int
 
@@ -128,9 +104,10 @@ type Config struct {
 	// MinSyncBytes is the bucket size that triggers a synchronization
 	// round; 0 means GranularityBytes.
 	MinSyncBytes int64
-	// Algorithm selects ring or hierarchical all-reduce.
-	Algorithm Algorithm
-	// GPUsPerNode configures the hierarchical algorithm's node grouping.
+	// GPUsPerNode is the node grouping of the all-reduce: ranks per node of
+	// the two-level hierarchical schedule, the paper's "tree" all-reduce
+	// (§V-B). 0 and 1 mean every rank is its own node, which is the flat
+	// ring. A larger grouping must divide the world size.
 	GPUsPerNode int
 	// Coordinator selects the readiness agreement protocol.
 	Coordinator CoordinatorKind
@@ -150,13 +127,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the engine defaults used before auto-tuning: 4
-// streams, 4 MiB units, flat ring, decentralized sync, fp32 wire, averaging.
+// streams, 4 MiB units, flat ring (one GPU per node), decentralized sync,
+// fp32 wire, averaging.
 func DefaultConfig() Config {
 	return Config{
 		Streams:          4,
 		GranularityBytes: 4 << 20,
-		Algorithm:        Ring,
-		GPUsPerNode:      8,
+		GPUsPerNode:      1,
 		Coordinator:      Decentralized,
 		Codec:            compress.FP32{},
 		Average:          true,
@@ -169,9 +146,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: streams %d", ErrBadConfig, c.Streams)
 	case c.GranularityBytes < 4:
 		return fmt.Errorf("%w: granularity %d bytes", ErrBadConfig, c.GranularityBytes)
-	case c.Algorithm != Ring && c.Algorithm != Hierarchical:
-		return fmt.Errorf("%w: algorithm %d", ErrBadConfig, int(c.Algorithm))
-	case c.Algorithm == Hierarchical && c.GPUsPerNode <= 0:
+	case c.GPUsPerNode < 0:
 		return fmt.Errorf("%w: gpusPerNode %d", ErrBadConfig, c.GPUsPerNode)
 	case c.Coordinator != Decentralized && c.Coordinator != Master:
 		return fmt.Errorf("%w: coordinator %d", ErrBadConfig, int(c.Coordinator))
@@ -249,7 +224,10 @@ func NewEngine(comm *mpi.Comm, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("%w: transport has %d streams, config needs %d",
 			ErrBadConfig, comm.Streams(), cfg.RequiredStreams())
 	}
-	if cfg.Algorithm == Hierarchical && comm.Size()%cfg.GPUsPerNode != 0 {
+	if cfg.GPUsPerNode == 0 {
+		cfg.GPUsPerNode = 1
+	}
+	if comm.Size()%cfg.GPUsPerNode != 0 {
 		// The two-level schedule needs equally sized nodes; failing here
 		// beats failing on the first all-reduce of the training loop.
 		return nil, fmt.Errorf("%w: world size %d is not divisible by gpusPerNode %d",
@@ -450,6 +428,11 @@ func (e *Engine) loop() {
 	defer close(e.loopDone)
 	for {
 		err := e.runIteration()
+		if err == nil {
+			// Reset before signalling, so Stats read after WaitIteration
+			// counts the iteration it waited for.
+			e.resetIteration()
+		}
 		select {
 		case e.iterDone <- err:
 		case <-e.stop:
@@ -458,7 +441,6 @@ func (e *Engine) loop() {
 		if err != nil {
 			return
 		}
-		e.resetIteration()
 	}
 }
 
@@ -626,13 +608,10 @@ func (e *Engine) reduceUnit(streamID int, u packing.Unit) error {
 		return err
 	}
 	seg := collective.WithSegmentBytes(e.cfg.SegmentBytes)
-	var rerr error
-	if e.cfg.Algorithm == Hierarchical {
-		rerr = collective.HierarchicalAllReduceCodec(
-			e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec, seg)
-	} else {
-		rerr = collective.RingAllReduceCodec(e.comm, streamID, buf, tensor.OpSum, e.cfg.Codec, seg)
-	}
+	// A grouping of 1 is the flat ring: the collective takes that path
+	// directly.
+	rerr := collective.HierarchicalAllReduceCodec(
+		e.comm, streamID, e.cfg.GPUsPerNode, buf, tensor.OpSum, e.cfg.Codec, seg)
 	if rerr != nil {
 		return fmt.Errorf("unit %d all-reduce: %w", u.Seq, rerr)
 	}

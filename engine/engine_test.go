@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aiacc/compress"
+	"aiacc/metrics"
 	"aiacc/mpi"
 	"aiacc/tensor"
 	"aiacc/transport"
@@ -124,7 +125,7 @@ func TestEngineConfigMatrix(t *testing.T) {
 		{name: "many-streams", mut: func(c *Config) { c.Streams = 8 }, size: 2},
 		{name: "tiny-granularity", mut: func(c *Config) { c.GranularityBytes = 64; c.MinSyncBytes = 64 }, size: 3},
 		{name: "huge-granularity", mut: func(c *Config) { c.GranularityBytes = 1 << 26 }, size: 2},
-		{name: "hierarchical", mut: func(c *Config) { c.Algorithm = Hierarchical; c.GPUsPerNode = 2 }, size: 4},
+		{name: "hierarchical", mut: func(c *Config) { c.GPUsPerNode = 2 }, size: 4},
 		{name: "master-coordinator", mut: func(c *Config) { c.Coordinator = Master }, size: 3},
 		{name: "fp16", mut: func(c *Config) { c.Codec = compress.FP16{} }, size: 2},
 		{name: "no-average", mut: func(c *Config) { c.Average = false }, size: 2},
@@ -158,6 +159,57 @@ func TestEngineConfigMatrix(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestEngineNodeGrouping pins GPUsPerNode as the only hierarchy input: 0 and
+// 1 both run the flat ring and record no hierarchical all-reduce, 2 runs the
+// two-level schedule, and a negative grouping is a configuration error.
+func TestEngineNodeGrouping(t *testing.T) {
+	ops := func(op string) *metrics.Counter {
+		return metrics.Default.Counter("aiacc_collective_ops_total",
+			"Collective operations run, by algorithm.", metrics.L("op", op))
+	}
+	ring, hier := ops("ring_allreduce"), ops("hierarchical_allreduce")
+	for _, tc := range []struct {
+		gpusPerNode int
+		wantHier    bool
+	}{{0, false}, {1, false}, {2, true}} {
+		t.Run(fmt.Sprintf("gpusPerNode=%d", tc.gpusPerNode), func(t *testing.T) {
+			r0, h0 := ring.Value(), hier.Value()
+			cfg := DefaultConfig()
+			cfg.GPUsPerNode = tc.gpusPerNode
+			runEngines(t, 4, cfg, smallParams(), func(e *Engine) error {
+				for iter := 0; iter < 2; iter++ {
+					if err := oneIteration(e, iter); err != nil {
+						return fmt.Errorf("iteration %d: %w", iter, err)
+					}
+				}
+				return nil
+			})
+			if gotHier := hier.Value() > h0; gotHier != tc.wantHier {
+				t.Errorf("hierarchical all-reduce recorded = %v, want %v", gotHier, tc.wantHier)
+			}
+			if ring.Value() == r0 {
+				t.Error("no ring all-reduce recorded")
+			}
+		})
+	}
+
+	net, err := transport.NewMem(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = net.Close() }()
+	ep, _ := net.Endpoint(0)
+	cfg := DefaultConfig()
+	cfg.GPUsPerNode = -1
+	if _, err := NewEngine(mpi.NewWorld(ep), cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("gpusPerNode -1: error = %v, want ErrBadConfig", err)
+	}
+	cfg.GPUsPerNode = 3
+	if _, err := NewEngine(mpi.NewWorld(ep), cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("gpusPerNode 3 at world 4: error = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -319,12 +371,11 @@ func TestEngineValidation(t *testing.T) {
 
 	bad := []Config{
 		{},
-		{Streams: 0, GranularityBytes: 1024, Algorithm: Ring, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 0, Algorithm: Ring, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Hierarchical, GPUsPerNode: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, Coordinator: 0, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Algorithm: Ring, Coordinator: Decentralized},
+		{Streams: 0, GranularityBytes: 1024, Coordinator: Decentralized, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, GPUsPerNode: -1, Coordinator: Decentralized, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, Coordinator: 0, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, Coordinator: Decentralized},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {

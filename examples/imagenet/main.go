@@ -73,7 +73,7 @@ func run() error {
 // tune runs a short §VI parameter search for the deployment.
 func tune(m model.Model, gpus int) (autotune.Params, error) {
 	if gpus == 1 {
-		return autotune.Params{Streams: 1, GranularityBytes: 8 << 20, Algorithm: autotune.AlgoRing}, nil
+		return autotune.Params{Streams: 1, GranularityBytes: 8 << 20, SegmentBytes: 256 << 10}, nil
 	}
 	eval := func(p autotune.Params, iters int) float64 {
 		res, err := simulate(m, gpus, cluster.AIACC, p)
@@ -99,11 +99,7 @@ func simulate(m model.Model, gpus int, kind cluster.EngineKind, p autotune.Param
 	if kind == cluster.AIACC {
 		cfg.Decentralized = true
 		if p.Streams > 0 {
-			cfg.Engine.Streams = p.Streams
-			cfg.Engine.GranularityBytes = p.GranularityBytes
-			if p.Algorithm == autotune.AlgoTree {
-				cfg.Engine.Algorithm = cluster.Hierarchical
-			}
+			cfg.Engine = cluster.ApplyParams(cfg.Engine, p)
 		}
 	}
 	return cluster.Simulate(cfg)

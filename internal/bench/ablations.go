@@ -117,9 +117,7 @@ func (s *Suite) AblationAlgorithm() (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		hier := ring
-		hier.Engine.Algorithm = cluster.Hierarchical
-		hierRes, err := simulate(hier)
+		hierRes, err := simulate(hierarchical(ring))
 		if err != nil {
 			return t, err
 		}
@@ -146,7 +144,7 @@ func (s *Suite) AblationCongestion() (Table, error) {
 		},
 	}
 	for _, frac := range []float64{1.0, 0.5, 0.25, 0.125} {
-		mk := func(algo cluster.Algorithm) (cluster.Result, error) {
+		mk := func(hier bool) (cluster.Result, error) {
 			cfg := baseConfig(model.ResNet50(), 64, cluster.AIACC)
 			// Congestion both steals bandwidth and explodes queueing delay:
 			// per-hop latency grows quadratically as the link saturates.
@@ -154,14 +152,16 @@ func (s *Suite) AblationCongestion() (Table, error) {
 			cal := cluster.DefaultCalibration()
 			cal.RingHopLatency = time.Duration(float64(cal.RingHopLatency) / (frac * frac))
 			cfg.Calibration = &cal
-			cfg.Engine.Algorithm = algo
+			if hier {
+				cfg = hierarchical(cfg)
+			}
 			return simulate(cfg)
 		}
-		ring, err := mk(cluster.Ring)
+		ring, err := mk(false)
 		if err != nil {
 			return t, err
 		}
-		hier, err := mk(cluster.Hierarchical)
+		hier, err := mk(true)
 		if err != nil {
 			return t, err
 		}

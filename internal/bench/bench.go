@@ -119,20 +119,18 @@ func simulate(cfg cluster.Config) (cluster.Result, error) {
 	return cluster.Simulate(cfg)
 }
 
-// applyParams maps tuner parameters onto a cluster engine config.
-func applyParams(cfg *cluster.Config, p autotune.Params) {
-	cfg.Engine.Streams = p.Streams
-	cfg.Engine.GranularityBytes = p.GranularityBytes
-	cfg.Engine.SegmentBytes = p.SegmentBytes
-	// The simulator models hierarchy at the physical node boundary; a tuned
-	// GPUsPerNode of 1 means flat, any larger grouping maps to the node
-	// hierarchy (the live engine clamps likewise when the grouping does not
-	// divide the world).
-	if p.Algorithm == autotune.AlgoTree && p.GPUsPerNode != 1 {
-		cfg.Engine.Algorithm = cluster.Hierarchical
-	} else {
-		cfg.Engine.Algorithm = cluster.Ring
-	}
+// hierarchical returns cfg with the AIACC engine's all-reduce grouped at the
+// topology's node size through the tuned-params mapping, keeping its other
+// parameters.
+func hierarchical(cfg cluster.Config) cluster.Config {
+	e := cfg.Engine
+	cfg.Engine = cluster.ApplyParams(e, autotune.Params{
+		Streams:          e.Streams,
+		GranularityBytes: e.GranularityBytes,
+		SegmentBytes:     e.SegmentBytes,
+		GPUsPerNode:      cfg.Topology.GPUsPerNode,
+	})
+	return cfg
 }
 
 // Tuned returns auto-tuned AIACC parameters for the deployment, using the
@@ -150,7 +148,7 @@ func (s *Suite) Tuned(m model.Model, gpus int) (autotune.Params, error) {
 	}
 	eval := func(p autotune.Params, iters int) float64 {
 		cfg := baseConfig(m, gpus, cluster.AIACC)
-		applyParams(&cfg, p)
+		cfg.Engine = cluster.ApplyParams(cfg.Engine, p)
 		res, err := cluster.Simulate(cfg)
 		if err != nil {
 			return 1e9 // invalid points are maximally bad
@@ -176,21 +174,21 @@ func neighborhood(s autotune.Space, p autotune.Params) autotune.Space {
 	if s.Index(p) < 0 {
 		return pick(0)
 	}
-	sub := autotune.Space{Algorithms: s.Algorithms}
+	var sub autotune.Space
 	for _, dir := range []int{-1, 0, 1} {
-		q := s.Neighbor(p, 0, dir)
+		q := s.Neighbor(p, autotune.DimStreams, dir)
 		if len(sub.Streams) == 0 || sub.Streams[len(sub.Streams)-1] != q.Streams {
 			sub.Streams = append(sub.Streams, q.Streams)
 		}
-		q = s.Neighbor(p, 1, dir)
+		q = s.Neighbor(p, autotune.DimGranularity, dir)
 		if len(sub.Granularities) == 0 || sub.Granularities[len(sub.Granularities)-1] != q.GranularityBytes {
 			sub.Granularities = append(sub.Granularities, q.GranularityBytes)
 		}
-		q = s.Neighbor(p, 3, dir)
+		q = s.Neighbor(p, autotune.DimSegment, dir)
 		if len(sub.Segments) == 0 || sub.Segments[len(sub.Segments)-1] != q.SegmentBytes {
 			sub.Segments = append(sub.Segments, q.SegmentBytes)
 		}
-		q = s.Neighbor(p, 4, dir)
+		q = s.Neighbor(p, autotune.DimNodeGroup, dir)
 		if len(sub.NodeGroups) == 0 || sub.NodeGroups[len(sub.NodeGroups)-1] != q.GPUsPerNode {
 			sub.NodeGroups = append(sub.NodeGroups, q.GPUsPerNode)
 		}
@@ -205,7 +203,7 @@ func (s *Suite) aiaccTuned(m model.Model, gpus int) (cluster.Result, autotune.Pa
 		return cluster.Result{}, p, err
 	}
 	cfg := baseConfig(m, gpus, cluster.AIACC)
-	applyParams(&cfg, p)
+	cfg.Engine = cluster.ApplyParams(cfg.Engine, p)
 	res, err := simulate(cfg)
 	return res, p, err
 }

@@ -169,7 +169,7 @@ func (s *Suite) frameworkFigure(id, framework string, overhead float64, native c
 				return t, err
 			}
 			ai := baseConfig(m, g, cluster.AIACC)
-			applyParams(&ai, p)
+			ai.Engine = cluster.ApplyParams(ai.Engine, p)
 			ai.Calibration = &cal
 			aiRes, err := simulate(ai)
 			if err != nil {
@@ -401,7 +401,7 @@ func (s *Suite) DAWNBench() (Table, error) {
 		return t, err
 	}
 	cfg := baseConfig(model.ResNet50(), 128, cluster.AIACC)
-	applyParams(&cfg, p)
+	cfg.Engine = cluster.ApplyParams(cfg.Engine, p)
 	cfg.Engine.WireBytesPerElem = 2
 	// The DAWNBench run used mixed precision, roughly doubling compute
 	// throughput on V100 tensor cores.
@@ -425,7 +425,7 @@ func (s *Suite) AutoTuneStudy() (Table, error) {
 	t := Table{
 		ID:     "autotune",
 		Title:  "Auto-tuned communication parameters across deployments (§VIII-D)",
-		Header: []string{"model", "gpus", "streams", "granularity", "algorithm", "iter time"},
+		Header: []string{"model", "gpus", "streams", "granularity", "gpus/node group", "iter time"},
 		Notes: []string{
 			"paper: ring preferred over tree; streams vary 2-24, higher with more GPUs; larger granularity for Transformer-family models",
 		},
@@ -448,7 +448,7 @@ func (s *Suite) AutoTuneStudy() (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			c.m.Name, fmt.Sprintf("%d", c.gpus),
-			fmt.Sprintf("%d", p.Streams), stats.FormatBytes(p.GranularityBytes), p.Algorithm,
+			fmt.Sprintf("%d", p.Streams), stats.FormatBytes(p.GranularityBytes), fmt.Sprintf("%d", p.GPUsPerNode),
 			fmtDur(res.IterTime),
 		})
 	}

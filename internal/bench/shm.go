@@ -157,25 +157,27 @@ func (s *Suite) Hierarchy() (Table, error) {
 	// The simulator's verdict on the same topology shape: hierarchy must win
 	// on a comm-heavy model when the intra tier is an order of magnitude
 	// faster than the inter tier.
+	flatCfg := cluster.Config{
+		Topology:      netmodel.TwoTierLoopback(hosts, perHost),
+		GPU:           cluster.V100(),
+		Model:         model.VGG16(),
+		Engine:        cluster.EngineDefaults(cluster.AIACC),
+		Decentralized: true,
+	}
 	var simFlat time.Duration
-	for _, algo := range []cluster.Algorithm{cluster.Ring, cluster.Hierarchical} {
-		cfg := cluster.Config{
-			Topology:      netmodel.TwoTierLoopback(hosts, perHost),
-			GPU:           cluster.V100(),
-			Model:         model.VGG16(),
-			Engine:        cluster.EngineDefaults(cluster.AIACC),
-			Decentralized: true,
-		}
-		cfg.Engine.Algorithm = algo
-		res, err := cluster.Simulate(cfg)
+	for _, arm := range []struct {
+		name string
+		cfg  cluster.Config
+	}{{"ring", flatCfg}, {"hierarchical", hierarchical(flatCfg)}} {
+		res, err := cluster.Simulate(arm.cfg)
 		if err != nil {
-			return t, fmt.Errorf("hierarchy sim %v: %w", algo, err)
+			return t, fmt.Errorf("hierarchy sim %s: %w", arm.name, err)
 		}
-		if algo == cluster.Ring {
+		if simFlat == 0 {
 			simFlat = res.IterTime
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("sim %v (VGG16)", algo), "iter",
+			fmt.Sprintf("sim %s (VGG16)", arm.name), "iter",
 			fmt.Sprintf("%.2f", res.IterTime.Seconds()*1e3),
 			fmt.Sprintf("%.2fx", simFlat.Seconds()/res.IterTime.Seconds()),
 		})

@@ -63,14 +63,14 @@ func WithGranularity(bytes int64) Option {
 	}
 }
 
-// WithHierarchicalAllReduce selects the hierarchical ("tree") all-reduce
-// with the given intra-node group size instead of the flat ring.
+// WithHierarchicalAllReduce sets the all-reduce node grouping: gpusPerNode
+// consecutive ranks form one node of the two-level hierarchical ("tree")
+// all-reduce. A grouping of 1 is the flat ring, which is also the default.
 func WithHierarchicalAllReduce(gpusPerNode int) Option {
 	return func(c *engine.Config) error {
 		if gpusPerNode <= 0 {
 			return fmt.Errorf("perseus: gpusPerNode %d", gpusPerNode)
 		}
-		c.Algorithm = engine.Hierarchical
 		c.GPUsPerNode = gpusPerNode
 		return nil
 	}

@@ -99,15 +99,7 @@ type OptimizerFactory func() optimizer.Optimizer
 // the globally averaged seconds per iteration.
 func evalCandidate(comm *mpi.Comm, base engine.Config, p autotune.Params, iters int,
 	producer Producer, opt OptimizerFactory) (float64, error) {
-	cfg := ApplyParams(base, p)
-	// The search space is topology-agnostic: a node grouping that does not
-	// divide this deployment's world size cannot run (the two-level schedule
-	// needs equally sized nodes), so the candidate degenerates to the flat
-	// ring rather than erroring the whole tuning session.
-	if cfg.Algorithm == engine.Hierarchical && comm.Size()%cfg.GPUsPerNode != 0 {
-		cfg.Algorithm = engine.Ring
-	}
-	tr, err := NewTrainer(comm, cfg, producer, opt())
+	tr, err := NewTrainer(comm, candidateConfig(base, p, comm.Size()), producer, opt())
 	if err != nil {
 		return 0, fmt.Errorf("candidate %v: %w", p, err)
 	}
@@ -132,20 +124,26 @@ func evalCandidate(comm *mpi.Comm, base engine.Config, p autotune.Params, iters 
 	return float64(buf[0]) / float64(comm.Size()), nil
 }
 
+// candidateConfig is the engine configuration a live tuning candidate runs
+// under at the given world size. The search space is topology-agnostic: a
+// node grouping that does not divide the world size cannot run (the
+// two-level schedule needs equally sized nodes), so the candidate degenerates
+// to the flat ring rather than erroring the whole tuning session.
+func candidateConfig(base engine.Config, p autotune.Params, world int) engine.Config {
+	cfg := ApplyParams(base, p)
+	if cfg.GPUsPerNode > 1 && world%cfg.GPUsPerNode != 0 {
+		cfg.GPUsPerNode = 1
+	}
+	return cfg
+}
+
 // ApplyParams maps tuned parameters onto an engine configuration.
 func ApplyParams(base engine.Config, p autotune.Params) engine.Config {
 	cfg := base
 	cfg.Streams = p.Streams
 	cfg.GranularityBytes = p.GranularityBytes
 	cfg.SegmentBytes = p.SegmentBytes
+	cfg.GPUsPerNode = p.GPUsPerNode
 	cfg.MinSyncBytes = 0 // re-derive from the new granularity
-	if p.Algorithm == autotune.AlgoTree {
-		cfg.Algorithm = engine.Hierarchical
-		if p.GPUsPerNode > 0 {
-			cfg.GPUsPerNode = p.GPUsPerNode
-		}
-	} else {
-		cfg.Algorithm = engine.Ring
-	}
 	return cfg
 }

@@ -19,7 +19,6 @@ func smallSpace() autotune.Space {
 	return autotune.Space{
 		Streams:       []int{1, 2, 4},
 		Granularities: []int64{32 << 10, 128 << 10},
-		Algorithms:    []string{autotune.AlgoRing, autotune.AlgoTree},
 		Segments:      []int64{16 << 10, 64 << 10},
 		NodeGroups:    []int{1, 2},
 	}
@@ -37,7 +36,6 @@ func TestTuneLiveAgreesAcrossRanks(t *testing.T) {
 	defer func() { _ = net.Close() }()
 
 	base := engine.DefaultConfig()
-	base.GPUsPerNode = 2 // hierarchical candidates need a node grouping
 
 	results := make([]TuneResult, size)
 	var wg sync.WaitGroup
@@ -122,15 +120,37 @@ func TestTuneLiveValidation(t *testing.T) {
 func TestApplyParams(t *testing.T) {
 	base := engine.DefaultConfig()
 	base.MinSyncBytes = 123
-	got := ApplyParams(base, autotune.Params{Streams: 7, GranularityBytes: 1 << 20, Algorithm: autotune.AlgoTree})
-	if got.Streams != 7 || got.GranularityBytes != 1<<20 || got.Algorithm != engine.Hierarchical {
+	got := ApplyParams(base, autotune.Params{Streams: 7, GranularityBytes: 1 << 20, SegmentBytes: 64 << 10, GPUsPerNode: 4})
+	if got.Streams != 7 || got.GranularityBytes != 1<<20 || got.SegmentBytes != 64<<10 || got.GPUsPerNode != 4 {
 		t.Errorf("ApplyParams = %+v", got)
 	}
 	if got.MinSyncBytes != 0 {
 		t.Error("MinSyncBytes must reset with the new granularity")
 	}
-	got = ApplyParams(base, autotune.Params{Streams: 2, GranularityBytes: 4096, Algorithm: autotune.AlgoRing})
-	if got.Algorithm != engine.Ring {
-		t.Error("ring not applied")
+	// A grouping that does not divide the world degenerates to the flat ring.
+	if got := candidateConfig(base, autotune.Params{Streams: 2, GranularityBytes: 4096, GPUsPerNode: 4}, 6); got.GPUsPerNode != 1 {
+		t.Errorf("gpusPerNode 4 at world 6 = %d, want 1", got.GPUsPerNode)
+	}
+	if got := candidateConfig(base, autotune.Params{Streams: 2, GranularityBytes: 4096, GPUsPerNode: 2}, 6); got.GPUsPerNode != 2 {
+		t.Errorf("gpusPerNode 2 at world 6 = %d, want 2", got.GPUsPerNode)
+	}
+}
+
+// TestDefaultSpaceConfigsDistinct checks the autotuner spends no trial on a
+// duplicate: at world 16 every point of the default space runs a distinct
+// engine configuration.
+func TestDefaultSpaceConfigsDistinct(t *testing.T) {
+	space := autotune.DefaultSpace()
+	seen := make(map[string]autotune.Params, space.Size())
+	for i := 0; i < space.Size(); i++ {
+		p := space.At(i)
+		key := fmt.Sprintf("%+v", candidateConfig(engine.DefaultConfig(), p, 16))
+		if prev, dup := seen[key]; dup {
+			t.Fatalf("%v and %v run the same engine config %s", prev, p, key)
+		}
+		seen[key] = p
+	}
+	if len(seen) != 1120 {
+		t.Errorf("%d distinct engine configs, want 1120", len(seen))
 	}
 }

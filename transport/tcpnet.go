@@ -41,7 +41,7 @@ import (
 //     recycled into the same pool, so a steady-state ring all-reduce performs
 //     ~0 allocations per op on the socket path.
 //   - Reader goroutines prefetch: each (peer, stream) inbox buffers
-//     inboxDepth decoded frames ahead of Recv, overlapping the socket read of
+//     tcpInboxDepth decoded frames ahead of Recv, overlapping the socket read of
 //     frame k+1 with the caller's reduction of frame k.
 //
 // Failure model (DESIGN.md §8): WithOpTimeout bounds every blocking Send and
@@ -88,71 +88,29 @@ const (
 	abortMarker = 0xFFFFFFFE
 )
 
-// TCPOption tunes the TCP data plane of NewTCP (and, via WithTCPOptions, of
-// NewTCPWorker).
+// TCPOption configures the TCP mesh of NewTCP (and, via WithTCPOptions, of
+// NewTCPWorker): failure detection and tracing.
 type TCPOption func(*tcpConfig)
 
+// Data-plane constants of every mesh socket. Sockets keep Go's default
+// TCP_NODELAY (frames ship immediately, which the latency-sensitive ring
+// steps want) and the OS socket buffers.
+const (
+	// tcpInboxDepth is how many received frames each (peer, stream) inbox
+	// buffers ahead of Recv: enough for a reader to stay a few frames ahead
+	// of the collective's reduce/copy work without hiding backpressure.
+	tcpInboxDepth = 4
+	// tcpReadBufSize is the per-socket userspace read-ahead buffer. One
+	// bufio fill absorbs many small frames (bit-vector agreement messages
+	// are tens of bytes); large payloads bypass the buffer after at most one
+	// copy of this size.
+	tcpReadBufSize = 32 << 10
+)
+
 type tcpConfig struct {
-	inboxDepth  int
-	readBufSize int
-	sndBuf      int
-	rcvBuf      int
-	noDelay     bool
-	opTimeout   time.Duration
-	heartbeat   time.Duration
-	trace       *trace.Recorder
-}
-
-func defaultTCPConfig() tcpConfig {
-	return tcpConfig{
-		// Depth 4 lets a reader stay a few frames ahead of the collective's
-		// reduce/copy work without hiding backpressure entirely.
-		inboxDepth: 4,
-		// One bufio fill absorbs many small frames (bit-vector agreement
-		// messages are tens of bytes); large payloads bypass the buffer after
-		// at most one readBufSize copy.
-		readBufSize: 32 << 10,
-		noDelay:     true,
-	}
-}
-
-// WithInboxDepth sets how many received frames each (peer, stream) inbox
-// buffers ahead of Recv (default 4, minimum 1). Depth > 1 lets the reader
-// goroutine prefetch the next frame while the collective reduces the current
-// chunk.
-func WithInboxDepth(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n >= 1 {
-			c.inboxDepth = n
-		}
-	}
-}
-
-// WithReadBuffer sets the per-socket userspace read-ahead buffer in bytes
-// (default 32 KiB). Small frames are drained from it without extra syscalls;
-// payloads larger than the buffer are read directly into pooled memory.
-func WithReadBuffer(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n >= 16 {
-			c.readBufSize = n
-		}
-	}
-}
-
-// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF on every mesh socket; zero
-// leaves the OS default in place.
-func WithSocketBuffers(snd, rcv int) TCPOption {
-	return func(c *tcpConfig) {
-		c.sndBuf = snd
-		c.rcvBuf = rcv
-	}
-}
-
-// WithNoDelay controls TCP_NODELAY (default true: frames ship immediately,
-// which the latency-sensitive ring steps want). Passing false re-enables
-// Nagle's algorithm, trading latency for kernel-side small-frame coalescing.
-func WithNoDelay(v bool) TCPOption {
-	return func(c *tcpConfig) { c.noDelay = v }
+	opTimeout time.Duration
+	heartbeat time.Duration
+	trace     *trace.Recorder
 }
 
 // WithOpTimeout bounds every blocking Send and Recv on the mesh: a Recv with
@@ -204,22 +162,6 @@ func (c *tcpConfig) writeTimeout() time.Duration {
 	return c.livenessWindow()
 }
 
-// apply sets the configured socket options, best effort: a transport that
-// cannot tune its socket still works.
-func (c *tcpConfig) apply(conn net.Conn) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	_ = tc.SetNoDelay(c.noDelay)
-	if c.sndBuf > 0 {
-		_ = tc.SetWriteBuffer(c.sndBuf)
-	}
-	if c.rcvBuf > 0 {
-		_ = tc.SetReadBuffer(c.rcvBuf)
-	}
-}
-
 // NewTCP creates a fully-connected TCP mesh of `size` ranks on the loopback
 // interface with `streams` sockets per directed pair. It blocks until the
 // mesh is established.
@@ -230,7 +172,7 @@ func NewTCP(size, streams int, opts ...TCPOption) (Network, error) {
 	if streams <= 0 {
 		return nil, fmt.Errorf("%w: streams %d", ErrBadStream, streams)
 	}
-	cfg := defaultTCPConfig()
+	var cfg tcpConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -284,7 +226,6 @@ func NewTCP(size, streams int, opts ...TCPOption) (Network, error) {
 						dialErrs <- fmt.Errorf("dial %d->%d stream %d: %w", i, j, s, err)
 						return
 					}
-					cfg.apply(conn)
 					var hdr [8]byte
 					binary.BigEndian.PutUint32(hdr[0:], uint32(i))
 					binary.BigEndian.PutUint32(hdr[4:], uint32(s))
@@ -576,7 +517,7 @@ type tcpEndpoint struct {
 	out []*connWriter
 
 	// inbox[from*streams+stream] receives decoded frames from the reader
-	// goroutines, cfg.inboxDepth frames ahead of Recv. A reader that exits
+	// goroutines, tcpInboxDepth frames ahead of Recv. A reader that exits
 	// records why in readerErr and closes its inbox, so a Recv that drains the
 	// channel learns the stream is down instead of blocking forever; the
 	// write-then-close ordering makes the slot safe to read after the channel
@@ -627,7 +568,7 @@ func newTCPEndpoint(rank, size, streams int, cfg tcpConfig) *tcpEndpoint {
 		w.trackIdle = cfg.heartbeat > 0
 		w.writeTimeout = cfg.writeTimeout()
 		ep.out[i] = w
-		ep.inbox[i] = make(chan []byte, cfg.inboxDepth)
+		ep.inbox[i] = make(chan []byte, tcpInboxDepth)
 	}
 	for r := range ep.peerDown {
 		ep.peerDown[r] = make(chan struct{})
@@ -750,7 +691,6 @@ func (e *tcpEndpoint) acceptAll(l net.Listener, expect int) error {
 		}
 		seen[idx] = true
 		mHandshakes.Inc()
-		e.cfg.apply(conn)
 		e.readerWG.Add(1)
 		go e.readLoop(conn, from, stream)
 	}
@@ -806,7 +746,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn, from, stream int) {
 // payload read. Control frames (heartbeats, aborts) are consumed here and
 // never surface through Recv.
 func (e *tcpEndpoint) readFrames(conn net.Conn, inbox chan []byte, idx, stream int) error {
-	br := bufio.NewReaderSize(conn, e.cfg.readBufSize)
+	br := bufio.NewReaderSize(conn, tcpReadBufSize)
 	rec := e.cfg.trace
 	lane := traceLane(e.rank, stream)
 	liveness := e.cfg.livenessWindow()

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,7 +36,7 @@ func TestTCPDuplicateHandshakeRejected(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 3, 2, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 3, 2, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
 	go func() { acceptErr <- ep.acceptAll(l, 2) }()
@@ -65,7 +64,7 @@ func TestTCPDistinctStreamsAccepted(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 2, 2, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 2, 2, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
 	go func() { acceptErr <- ep.acceptAll(l, 2) }()
@@ -95,7 +94,7 @@ func TestTCPOversizedHeaderSurfacesOnRecv(t *testing.T) {
 	}
 	defer func() { _ = l.Close() }()
 
-	ep := newTCPEndpoint(0, 2, 1, defaultTCPConfig())
+	ep := newTCPEndpoint(0, 2, 1, tcpConfig{})
 	defer func() { _ = ep.Close() }()
 	acceptErr := make(chan error, 1)
 	go func() { acceptErr <- ep.acceptAll(l, 1) }()
@@ -262,36 +261,6 @@ func TestTCPSendRecvRaceClose(t *testing.T) {
 	wg.Wait()
 	if delivered.Load() == 0 {
 		t.Error("no frames delivered before close")
-	}
-}
-
-// The tuning options must produce a working mesh end to end.
-func TestTCPOptionsEndToEnd(t *testing.T) {
-	net_, err := NewTCP(2, 1,
-		WithInboxDepth(8),
-		WithReadBuffer(4<<10),
-		WithSocketBuffers(64<<10, 64<<10),
-		WithNoDelay(false),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net_.Close() }()
-	ep0, _ := net_.Endpoint(0)
-	ep1, _ := net_.Endpoint(1)
-	for i := 0; i < 16; i++ {
-		if err := ep0.Send(1, 0, []byte(fmt.Sprintf("frame-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		got, err := ep1.Recv(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("frame-%d", i); string(got) != want {
-			t.Fatalf("frame %d = %q, want %q", i, got, want)
-		}
 	}
 }
 

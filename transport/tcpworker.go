@@ -34,9 +34,8 @@ func WithDialTimeout(d time.Duration) WorkerOption {
 	}
 }
 
-// WithTCPOptions applies data-plane tuning (inbox depth, socket buffers,
-// TCP_NODELAY, read buffer) to the worker's mesh sockets — the same options
-// NewTCP takes.
+// WithTCPOptions applies mesh options (op timeout, heartbeat, trace) to the
+// worker's mesh sockets — the same options NewTCP takes.
 func WithTCPOptions(opts ...TCPOption) WorkerOption {
 	return func(c *workerConfig) {
 		for _, o := range opts {
@@ -84,7 +83,6 @@ func NewTCPWorker(rank, streams int, addrs []string, opts ...WorkerOption) (Endp
 		retryDelay:  50 * time.Millisecond,
 		bindRetries: 20,
 		bindDelay:   25 * time.Millisecond,
-		tcp:         defaultTCPConfig(),
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -150,7 +148,6 @@ func dialMesh(ep *tcpEndpoint, rank, streams int, addrs []string, cfg workerConf
 			if err != nil {
 				return fmt.Errorf("%w: dial %d->%d: %v", ErrRendezvous, rank, to, err)
 			}
-			cfg.tcp.apply(conn)
 			var hdr [8]byte
 			binary.BigEndian.PutUint32(hdr[0:], uint32(rank))
 			binary.BigEndian.PutUint32(hdr[4:], uint32(s))
