@@ -67,8 +67,8 @@ bench:
 bench-tcp:
 	$(GO) test -run XXX -bench TCP -benchtime 200x .
 
-# Pipelined segmented ring same-binary A/B: serial reference vs pipelined
-# arms over real TCP with the fp16 codec (the BENCH_pr4.json numbers).
+# Pipelined segmented ring same-binary A/B over real TCP with the fp16 codec:
+# seg=off (one segment per chunk, the no-pipelining baseline) vs seg=128K.
 bench-seg:
 	$(GO) test -run XXX -bench 'BenchmarkRingAllReduceTCP/4ranks/.*elems/fp16' -benchtime 30x -count 3 .
 

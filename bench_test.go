@@ -331,17 +331,14 @@ func BenchmarkRingAllReduceTCP(b *testing.B) {
 		})
 	}
 	// The fp16 variants carry real codec work on the critical path, so they
-	// are the ones the segment pipeline targets. Three same-binary arms:
-	// "ref" is the serial pre-pipelining protocol (whole-chunk frames,
-	// all-gather decode→re-encode), "seg=off" runs the pipelined machinery
-	// with one segment per chunk (isolates the verbatim all-gather
-	// forwarding), "seg=128K" adds double-buffered wire segments.
+	// are the ones the segment pipeline targets. Two same-binary arms:
+	// "seg=off" runs one segment per chunk, the no-pipelining baseline;
+	// "seg=128K" adds double-buffered wire segments.
 	for _, elems := range []int{1 << 18, 1 << 20} {
 		for _, arm := range []struct {
 			name  string
-			bytes int64 // 0 = serial reference implementation
+			bytes int64
 		}{
-			{"ref", 0},
 			{"seg=off", 1 << 30},
 			{"seg=128K", 128 << 10},
 		} {
@@ -351,10 +348,6 @@ func BenchmarkRingAllReduceTCP(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer func() { _ = net.Close() }()
-				if arm.bytes == 0 {
-					benchRingAllReduceRef(b, net, elems)
-					return
-				}
 				benchRingAllReduceCodec(b, net, elems, compress.FP16{}, tensor.OpMax,
 					collective.WithSegmentBytes(arm.bytes))
 			})
@@ -494,42 +487,6 @@ func BenchmarkTransportPingPong(b *testing.B) {
 			})
 		}
 	}
-}
-
-// benchRingAllReduceRef is benchRingAllReduceCodec over the serial reference
-// implementation — the baseline arm of the pipelining A/B.
-func benchRingAllReduceRef(b *testing.B, net transport.Network, elems int) {
-	b.Helper()
-	comms := make([]*mpi.Comm, 4)
-	datas := make([][]float32, 4)
-	for r := 0; r < 4; r++ {
-		ep, err := net.Endpoint(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		comms[r] = mpi.NewWorld(ep)
-		datas[r] = make([]float32, elems)
-		for i := range datas[r] {
-			datas[r][i] = 0.001 + float32(i%1000)*0.001
-		}
-	}
-	b.SetBytes(int64(elems) * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				if err := collective.RingAllReduceCodecReference(comms[r], 0, datas[r], tensor.OpMax, compress.FP16{}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
 }
 
 // benchEngineIteration measures one full live engine iteration (sync + pack

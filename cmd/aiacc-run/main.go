@@ -69,7 +69,6 @@ func run() error {
 		trans       = flag.String("transport", "mem", "transport: mem | tcp | shm (shared-memory rings; with -multiproc, true cross-process shared memory)")
 		opTimeout   = flag.Duration("op-timeout", 0, "bound every blocking transport send/recv; a stuck operation fails with a timeout instead of hanging (0 = unbounded)")
 		heartbeat   = flag.Duration("heartbeat", 0, "TCP liveness probe interval; a peer silent for 4 intervals is declared failed (0 = off)")
-		coordinator = flag.String("coordinator", "decentralized", "readiness coordinator: decentralized | master")
 		perNode     = flag.Int("gpus-per-node", 1, "workers per simulated node: 1 runs the flat ring, larger groupings the two-level hierarchical all-reduce")
 		fp16        = flag.Bool("fp16", false, "compress gradients to fp16 on the wire")
 		nanCheck    = flag.Bool("nan-check", false, "scan pushed gradients for non-finite values")
@@ -106,14 +105,6 @@ func run() error {
 	cfg.MinSyncBytes = *granularity
 	cfg.GPUsPerNode = *perNode
 	cfg.DetectNaN = *nanCheck
-	switch *coordinator {
-	case "decentralized":
-		cfg.Coordinator = engine.Decentralized
-	case "master":
-		cfg.Coordinator = engine.Master
-	default:
-		return fmt.Errorf("unknown coordinator %q", *coordinator)
-	}
 	if *fp16 {
 		cfg.Codec = compress.FP16{}
 	}
@@ -202,9 +193,9 @@ func run() error {
 	defer func() { _ = net.Close() }()
 
 	m := m0
-	fmt.Printf("training %s on %d workers (%s transport, %d streams, %s units, %s sync, %d GPUs per node)\n",
+	fmt.Printf("training %s on %d workers (%s transport, %d streams, %s units, %d GPUs per node)\n",
 		m.Name, *workers, *trans, cfg.Streams, byteSize(cfg.GranularityBytes),
-		cfg.Coordinator, cfg.GPUsPerNode)
+		cfg.GPUsPerNode)
 	fmt.Printf("model: %.1fM parameters, %d gradient tensors, %s gradient volume per iteration\n",
 		float64(m.NumParams())/1e6, m.NumGradients(), byteSize(m.GradBytes()))
 

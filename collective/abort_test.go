@@ -101,21 +101,9 @@ func TestAbortRingPipelined(t *testing.T) {
 	checkLeaks(t, base)
 }
 
-func TestAbortRingReference(t *testing.T) {
-	const victim = 1
-	base := leakcheck.Take()
-	results := runChaosRanks(t, 4, 1, chaos.NewPlan(2).CrashRank(victim, 0),
-		func(c *mpi.Comm, rank int) error {
-			data := make([]float32, 1024)
-			return RingAllReduceCodecReference(c, 0, data, tensor.OpSum, compress.FP32{})
-		})
-	assertUnwound(t, results, victim)
-	checkLeaks(t, base)
-}
-
 func TestAbortHierarchical(t *testing.T) {
-	// Rank 3 is a non-leader: its crash must propagate out of its node group,
-	// through the leader ring, into the other node's members — the
+	// Rank 3's crash must propagate out of its node group, through the
+	// cross-node shard rings, into the other node's members — the
 	// cross-phase unwind path.
 	const victim = 3
 	base := leakcheck.Take()
@@ -169,23 +157,36 @@ func TestAbortBroadcast(t *testing.T) {
 
 // A truncated frame must decode-fail on the receiver, which then aborts the
 // whole ring rather than deadlocking ranks waiting on its forwarded segments.
+// Both arms run the production ring: fp32 cut into many small segments, and
+// fp16 with the default segment size.
 func TestAbortOnTruncatedFrame(t *testing.T) {
-	base := leakcheck.Take()
-	results := runChaosRanks(t, 3, 1, chaos.NewPlan(6).TruncateFrame(0, 1, 0, 1, 3),
-		func(c *mpi.Comm, rank int) error {
-			data := make([]float32, 999)
-			return RingAllReduceCodecReference(c, 0, data, tensor.OpSum, compress.FP32{})
+	for _, tc := range []struct {
+		name  string
+		codec compress.Codec
+		opts  []Option
+	}{
+		{name: "fp32-seg64", codec: compress.FP32{}, opts: []Option{WithSegmentBytes(64)}},
+		{name: "fp16", codec: compress.FP16{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := leakcheck.Take()
+			results := runChaosRanks(t, 3, 1, chaos.NewPlan(6).TruncateFrame(0, 1, 0, 1, 3),
+				func(c *mpi.Comm, rank int) error {
+					data := make([]float32, 999)
+					return RingAllReduceCodec(c, 0, data, tensor.OpSum, tc.codec, tc.opts...)
+				})
+			failures := 0
+			for _, err := range results {
+				if err != nil {
+					failures++
+				}
+			}
+			if failures == 0 {
+				t.Error("truncated frame went unnoticed")
+			}
+			checkLeaks(t, base)
 		})
-	failures := 0
-	for _, err := range results {
-		if err != nil {
-			failures++
-		}
 	}
-	if failures == 0 {
-		t.Error("truncated frame went unnoticed")
-	}
-	checkLeaks(t, base)
 }
 
 // soakSeeds returns how many random fault scenarios the soak covers per

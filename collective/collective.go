@@ -1,9 +1,11 @@
 // Package collective implements the collective communication primitives that
-// AIACC-Training builds gradient aggregation on: ring all-reduce
-// (reduce-scatter followed by all-gather, paper Fig. 1), a hierarchical
-// "tree" all-reduce (intra-node reduce, cross-node ring among node leaders,
-// intra-node broadcast), all-gather, broadcast, and the bit-wise AND
-// all-reduce used by the gradient synchronization vector.
+// AIACC-Training builds gradient aggregation on: the pipelined ring
+// all-reduce (reduce-scatter followed by all-gather, paper Fig. 1), the
+// hierarchical "tree" all-reduce (a two-level schedule: intra-node
+// reduce-scatter, concurrent cross-node shard rings, intra-node all-gather),
+// broadcast, and the bit-wise AND all-reduce used by the gradient
+// synchronization vector. Every data collective takes an explicit wire codec
+// (compress.FP32{} for plain fp32).
 //
 // Every operation takes a stream id. Operations on distinct streams are fully
 // independent and may run concurrently from different goroutines — this is
@@ -101,13 +103,6 @@ func (r *ringOp) end() {
 	recycleWire(r.buf)
 }
 
-// RingAllReduce performs an in-place ring all-reduce of data across all
-// members of c on the given stream, with fp32 wire encoding. See
-// RingAllReduceCodec.
-func RingAllReduce(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, opts ...Option) error {
-	return RingAllReduceCodec(c, stream, data, op, compress.FP32{}, opts...)
-}
-
 // RingAllReduceCodec performs an in-place ring all-reduce of data across all
 // members of c on the given stream, serializing chunks with the given codec
 // (e.g. fp16 gradient compression). After it returns, every rank holds the
@@ -181,93 +176,9 @@ func ringChunkAllGather(c *mpi.Comm, stream int, data []float32, codec compress.
 	return p.allGather(data, !codecLossless(codec))
 }
 
-// RingAllReduceCodecReference is the serial pre-pipelining ring all-reduce:
-// one wire frame per ring step, the whole chunk decoded before reduction,
-// and an all-gather that decodes and re-encodes every received chunk. It is
-// retained as a correctness oracle — the property tests pin the pipelined
-// ring to it bit-for-bit under lossless codecs — and as the same-binary
-// baseline arm of the ring benchmarks. Production callers want
-// RingAllReduceCodec.
-func RingAllReduceCodecReference(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
-	return Unwind(c, stream, ringAllReduceCodecReference(c, stream, data, op, codec))
-}
-
-func ringAllReduceCodecReference(c *mpi.Comm, stream int, data []float32, op tensor.ReduceOp, codec compress.Codec) error {
-	n := c.Size()
-	if n == 1 || len(data) == 0 {
-		return nil
-	}
-	rank := c.Rank()
-	next := (rank + 1) % n
-	prev := (rank - 1 + n) % n
-
-	wireHint := int(codec.WireBytes(len(data)/n + 1))
-	r := beginRing(wireHint)
-	defer r.end()
-	// One decode scratch of max-chunk size serves every step.
-	fp := getF32(len(data)/n + 1)
-	defer putF32(fp)
-
-	for step := 0; step < n-1; step++ {
-		sendIdx := (rank - step + n) % n
-		recvIdx := (rank - step - 1 + 2*n) % n
-		sLo, sHi := chunkBounds(len(data), n, sendIdx)
-		rLo, rHi := chunkBounds(len(data), n, recvIdx)
-
-		r.buf = codec.EncodeTo(r.buf[:0], data[sLo:sHi])
-		r.send(c, next, stream)
-		payload, err := c.Recv(prev, stream)
-		if err != nil {
-			return fmt.Errorf("ring all-reduce recv step %d: %w", step, err)
-		}
-		tmp := (*fp)[:rHi-rLo]
-		if err := codec.Decode(tmp, payload); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-reduce step %d: %w", step, err)
-		}
-		if err := op.ApplyParallel(data[rLo:rHi], tmp); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-reduce reduce step %d: %w", step, err)
-		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-reduce send step %d: %w", step, err)
-		}
-		r.adopt(payload)
-	}
-
-	for step := 0; step < n-1; step++ {
-		sendIdx := (rank - step + 1 + n) % n
-		recvIdx := (rank - step + 2*n) % n
-		sLo, sHi := chunkBounds(len(data), n, sendIdx)
-		rLo, rHi := chunkBounds(len(data), n, recvIdx)
-
-		r.buf = codec.EncodeTo(r.buf[:0], data[sLo:sHi])
-		r.send(c, next, stream)
-		payload, err := c.Recv(prev, stream)
-		if err != nil {
-			return fmt.Errorf("ring all-gather recv step %d: %w", step, err)
-		}
-		if err := codec.Decode(data[rLo:rHi], payload); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-gather step %d: %w", step, err)
-		}
-		if err := r.wait(); err != nil {
-			recycleWire(payload)
-			return fmt.Errorf("ring all-gather send step %d: %w", step, err)
-		}
-		r.adopt(payload)
-	}
-	return nil
-}
-
-// Broadcast distributes root's data to every member of c in place, using a
-// binomial tree rooted at the given rank: O(log n) rounds.
-func Broadcast(c *mpi.Comm, stream, root int, data []float32) error {
-	return BroadcastCodec(c, stream, root, data, compress.FP32{})
-}
-
-// BroadcastCodec is Broadcast with an explicit wire codec.
+// BroadcastCodec distributes root's data to every member of c in place,
+// serialized with the given codec, using a binomial tree rooted at the given
+// rank: O(log n) rounds.
 func BroadcastCodec(c *mpi.Comm, stream, root int, data []float32, codec compress.Codec) error {
 	return Unwind(c, stream, broadcastCodec(c, stream, root, data, codec))
 }
@@ -372,19 +283,14 @@ func andAllReduceBits(c *mpi.Comm, stream int, bits []uint64) error {
 	return nil
 }
 
-// HierarchicalAllReduce is the paper's "tree all-reduce" (§V-B), realized
-// as the Megatron-style two-level schedule: an intra-node reduce-scatter, a
-// concurrent per-shard ring all-reduce across nodes, and an intra-node
-// all-gather. It reduces cross-node traffic to 1/gpusPerNode of a flat ring
-// and is selected by the auto-tuner when inter-node links are congested.
-func HierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, opts ...Option) error {
-	return HierarchicalAllReduceCodec(c, stream, gpusPerNode, data, op, compress.FP32{}, opts...)
-}
-
-// HierarchicalAllReduceCodec is HierarchicalAllReduce with an explicit wire
-// codec applied to every phase. Options (segment pipelining) apply to both
-// levels — in particular the cross-node shard rings, where overlapping
-// codec work with the slower inter-node wire pays off most.
+// HierarchicalAllReduceCodec is the paper's "tree all-reduce" (§V-B),
+// realized as the Megatron-style two-level schedule: an intra-node
+// reduce-scatter, a concurrent per-shard ring all-reduce across nodes, and
+// an intra-node all-gather. It reduces cross-node traffic to 1/gpusPerNode
+// of a flat ring. The wire codec applies to every phase; options (segment
+// pipelining) apply to both levels — in particular the cross-node shard
+// rings, where overlapping codec work with the slower inter-node wire pays
+// off most.
 //
 // The schedule is two-level: each node reduce-scatters over its (fast,
 // intra-host) lanes, leaving member j of every node with one fully reduced
@@ -400,7 +306,7 @@ func HierarchicalAllReduce(c *mpi.Comm, stream, gpusPerNode int, data []float32,
 // Requires c's size to be an exact multiple of gpusPerNode (ranks laid out
 // node-major, as mpi.Comm's NodeGroup assumes). Results are bit-identical
 // across ranks, and — for exactly-representable sums — bit-identical to the
-// single-level reference.
+// flat ring.
 func HierarchicalAllReduceCodec(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
 	// The phases unwind within their sub-communicators; the outer unwind over
 	// the full communicator is what carries a failure across phase boundaries
@@ -513,47 +419,4 @@ func twoLevelAllReduce(node, cross *mpi.Comm, stream int, data []float32, op ten
 		}
 	}
 	return firstErr
-}
-
-// HierarchicalAllReduceCodecReference is the serial three-phase hierarchy —
-// intra-node ring all-reduce, leader-only ring across nodes, intra-node
-// broadcast — retained as a correctness oracle for the two-level schedule
-// and as the same-binary baseline arm of the hierarchy benchmarks (it is
-// the leader-funnel design the two-level schedule exists to beat).
-// Production callers want HierarchicalAllReduceCodec.
-func HierarchicalAllReduceCodecReference(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	return Unwind(c, stream, hierarchicalAllReduceCodecReference(c, stream, gpusPerNode, data, op, codec, opts...))
-}
-
-func hierarchicalAllReduceCodecReference(c *mpi.Comm, stream, gpusPerNode int, data []float32, op tensor.ReduceOp, codec compress.Codec, opts ...Option) error {
-	if c.Size() == 1 || len(data) == 0 {
-		return nil
-	}
-	if gpusPerNode <= 0 {
-		return fmt.Errorf("%w: gpusPerNode %d", mpi.ErrBadGroup, gpusPerNode)
-	}
-	defer obsOp(mHierarchical, opStart())
-	node, err := c.NodeGroup(gpusPerNode)
-	if err != nil {
-		return fmt.Errorf("hierarchical all-reduce node group: %w", err)
-	}
-	// Phase 1: intra-node reduction.
-	if err := RingAllReduceCodec(node, stream, data, op, codec, opts...); err != nil {
-		return fmt.Errorf("hierarchical all-reduce intra: %w", err)
-	}
-	// Phase 2: leaders reduce across nodes.
-	if node.Rank() == 0 {
-		leaders, err := c.LeaderGroup(gpusPerNode)
-		if err != nil {
-			return fmt.Errorf("hierarchical all-reduce leader group: %w", err)
-		}
-		if err := RingAllReduceCodec(leaders, stream, data, op, codec, opts...); err != nil {
-			return fmt.Errorf("hierarchical all-reduce inter: %w", err)
-		}
-	}
-	// Phase 3: broadcast the global result within each node.
-	if err := BroadcastCodec(node, stream, 0, data, codec); err != nil {
-		return fmt.Errorf("hierarchical all-reduce broadcast: %w", err)
-	}
-	return nil
 }

@@ -95,7 +95,7 @@ func TestRingAllReduceSum(t *testing.T) {
 				for i := range data {
 					data[i] = float32(c.Rank()*elems + i)
 				}
-				if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+				if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 					return err
 				}
 				for i := range data {
@@ -116,7 +116,7 @@ func TestRingAllReduceSum(t *testing.T) {
 func TestRingAllReduceMinMax(t *testing.T) {
 	runRanks(t, 4, 1, func(c *mpi.Comm) error {
 		data := []float32{float32(c.Rank()), float32(-c.Rank()), 5}
-		if err := RingAllReduce(c, 0, data, tensor.OpMin); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpMin, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 0 || data[1] != -3 || data[2] != 5 {
@@ -126,7 +126,7 @@ func TestRingAllReduceMinMax(t *testing.T) {
 	})
 	runRanks(t, 4, 1, func(c *mpi.Comm) error {
 		data := []float32{float32(c.Rank()), float32(-c.Rank())}
-		if err := RingAllReduce(c, 0, data, tensor.OpMax); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpMax, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 3 || data[1] != 0 {
@@ -140,7 +140,7 @@ func TestRingAllReduceShorterThanRanks(t *testing.T) {
 	// Fewer elements than ranks: some chunks are empty.
 	runRanks(t, 8, 1, func(c *mpi.Comm) error {
 		data := []float32{1, 2, 3}
-		if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 8 || data[1] != 16 || data[2] != 24 {
@@ -152,11 +152,11 @@ func TestRingAllReduceShorterThanRanks(t *testing.T) {
 
 func TestRingAllReduceEmptyAndSingle(t *testing.T) {
 	runRanks(t, 4, 1, func(c *mpi.Comm) error {
-		return RingAllReduce(c, 0, nil, tensor.OpSum)
+		return RingAllReduceCodec(c, 0, nil, tensor.OpSum, compress.FP32{})
 	})
 	runRanks(t, 1, 1, func(c *mpi.Comm) error {
 		data := []float32{7}
-		if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+		if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
 		if data[0] != 7 {
@@ -176,7 +176,7 @@ func TestBroadcast(t *testing.T) {
 						data[i] = float32(100*root + i)
 					}
 				}
-				if err := Broadcast(c, 0, root, data); err != nil {
+				if err := BroadcastCodec(c, 0, root, data, compress.FP32{}); err != nil {
 					return err
 				}
 				for i := range data {
@@ -254,7 +254,7 @@ func TestHierarchicalAllReduce(t *testing.T) {
 			for i := range data {
 				data[i] = float32(c.Rank() + i)
 			}
-			if err := HierarchicalAllReduce(c, 0, tc.perNode, data, tensor.OpSum); err != nil {
+			if err := HierarchicalAllReduceCodec(c, 0, tc.perNode, data, tensor.OpSum, compress.FP32{}); err != nil {
 				return err
 			}
 			for i := range data {
@@ -272,7 +272,7 @@ func TestHierarchicalAllReduce(t *testing.T) {
 
 func TestHierarchicalAllReduceBadPerNode(t *testing.T) {
 	runRanks(t, 2, 1, func(c *mpi.Comm) error {
-		err := HierarchicalAllReduce(c, 0, 0, []float32{1}, tensor.OpSum)
+		err := HierarchicalAllReduceCodec(c, 0, 0, []float32{1}, tensor.OpSum, compress.FP32{})
 		if err == nil {
 			t.Error("gpusPerNode=0 must be rejected")
 		}
@@ -282,7 +282,7 @@ func TestHierarchicalAllReduceBadPerNode(t *testing.T) {
 	// descriptive ErrBadGroup rather than silently producing a lopsided
 	// schedule.
 	runRanks(t, 6, 1, func(c *mpi.Comm) error {
-		err := HierarchicalAllReduce(c, 0, 4, []float32{1}, tensor.OpSum)
+		err := HierarchicalAllReduceCodec(c, 0, 4, []float32{1}, tensor.OpSum, compress.FP32{})
 		if !errors.Is(err, mpi.ErrBadGroup) {
 			t.Errorf("size 6 perNode 4: err = %v, want ErrBadGroup", err)
 		}
@@ -294,13 +294,13 @@ func TestHierarchicalAllReduceBadPerNode(t *testing.T) {
 }
 
 // TestHierarchicalMatchesReference checks the two-level schedule is
-// bit-identical to the serial three-phase reference for data whose sums are
-// exactly representable (small integers): both orders of fp32 summation are
-// then exact, so any mismatch is a scheduling bug, not rounding.
+// bit-identical to the flat ring for data whose sums are exactly
+// representable (small integers): both orders of fp32 summation are then
+// exact, so any mismatch is a scheduling bug, not rounding.
 func TestHierarchicalMatchesReference(t *testing.T) {
 	const size, perNode, n = 8, 4, 5000
 	type result struct {
-		twoLevel, ref []float32
+		twoLevel, flat []float32
 	}
 	results := make([]result, size)
 	runRanks(t, size, 1, func(c *mpi.Comm) error {
@@ -312,19 +312,19 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 			return data
 		}
 		a, b := mk(), mk()
-		if err := HierarchicalAllReduce(c, 0, perNode, a, tensor.OpSum); err != nil {
+		if err := HierarchicalAllReduceCodec(c, 0, perNode, a, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
-		if err := HierarchicalAllReduceCodecReference(c, 0, perNode, b, tensor.OpSum, compress.FP32{}); err != nil {
+		if err := RingAllReduceCodec(c, 0, b, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
-		results[c.Rank()] = result{twoLevel: a, ref: b}
+		results[c.Rank()] = result{twoLevel: a, flat: b}
 		return nil
 	})
 	for r, res := range results {
 		for i := range res.twoLevel {
-			if res.twoLevel[i] != res.ref[i] {
-				t.Fatalf("rank %d elem %d: two-level %v != reference %v", r, i, res.twoLevel[i], res.ref[i])
+			if res.twoLevel[i] != res.flat[i] {
+				t.Fatalf("rank %d elem %d: two-level %v != flat ring %v", r, i, res.twoLevel[i], res.flat[i])
 			}
 		}
 	}
@@ -345,7 +345,7 @@ func TestConcurrentStreamsAllReduce(t *testing.T) {
 				for i := range data {
 					data[i] = float32(c.Rank() * (s + 1))
 				}
-				if err := RingAllReduce(c, s, data, tensor.OpSum); err != nil {
+				if err := RingAllReduceCodec(c, s, data, tensor.OpSum, compress.FP32{}); err != nil {
 					errs[s] = err
 					return
 				}
@@ -390,7 +390,7 @@ func TestRingAllReduceOverTCP(t *testing.T) {
 			for i := range data {
 				data[i] = float32(c.Rank())
 			}
-			if err := RingAllReduce(c, 1, data, tensor.OpSum); err != nil {
+			if err := RingAllReduceCodec(c, 1, data, tensor.OpSum, compress.FP32{}); err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
@@ -406,7 +406,7 @@ func TestRingAllReduceOverTCP(t *testing.T) {
 }
 
 // Property: the pipelined segmented ring is bit-exact against the serial
-// reference protocol for the lossless fp32 codec — every world size, payload
+// oracle ring (serialRingAllReduce) for the lossless fp32 codec — every world size, payload
 // shape and segment size, including empty chunks (n > len(data)), segments
 // larger than a chunk, and single-segment chunks.
 func TestPipelinedMatchesReferenceBitExact(t *testing.T) {
@@ -427,7 +427,7 @@ func TestPipelinedMatchesReferenceBitExact(t *testing.T) {
 			want := make([][]float32, size)
 			runRanks(t, size, 1, func(c *mpi.Comm) error {
 				data := append([]float32(nil), inputs[c.Rank()]...)
-				if err := RingAllReduceCodecReference(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
+				if err := serialRingAllReduce(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 					return err
 				}
 				want[c.Rank()] = data
@@ -549,8 +549,8 @@ func TestHierarchicalAllReduceSegmented(t *testing.T) {
 		for i := range data {
 			data[i] = float32(c.Rank() + 1)
 		}
-		if err := HierarchicalAllReduce(c, 0, perNode, data, tensor.OpSum,
-			WithSegmentBytes(512)); err != nil {
+		if err := HierarchicalAllReduceCodec(c, 0, perNode, data, tensor.OpSum,
+			compress.FP32{}, WithSegmentBytes(512)); err != nil {
 			return err
 		}
 		want := float32(size * (size + 1) / 2)
@@ -574,11 +574,11 @@ func TestNumSegments(t *testing.T) {
 	}{
 		{0, 1 << 20, 1},
 		{1, 1 << 20, 1},
-		{100, 400, 1},  // exactly one segment
-		{101, 400, 2},  // one element over
+		{100, 400, 1}, // exactly one segment
+		{101, 400, 2}, // one element over
 		{1000, 400, 10},
-		{1000, 3, 0},   // <4 bytes: degenerate, fall back to one segment
-		{1000, 0, 0},   // answered by buildOptions before numSegments; 0 treated as 1
+		{1000, 3, 0}, // <4 bytes: degenerate, fall back to one segment
+		{1000, 0, 0}, // answered by buildOptions before numSegments; 0 treated as 1
 	}
 	for _, c := range cases {
 		got := numSegments(c.elems, c.seg)
@@ -609,7 +609,7 @@ func TestQuickRingAllReduceMatchesSerial(t *testing.T) {
 		}
 		runRanks(t, size, 1, func(c *mpi.Comm) error {
 			data := append([]float32(nil), inputs[c.Rank()]...)
-			if err := RingAllReduce(c, 0, data, tensor.OpSum); err != nil {
+			if err := RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{}); err != nil {
 				return err
 			}
 			for i := range data {
@@ -671,7 +671,7 @@ func TestReduceScatterMatchesAllReducePrefix(t *testing.T) {
 			return data
 		}
 		ref := mk()
-		if err := RingAllReduce(c, 0, ref, tensor.OpSum); err != nil {
+		if err := RingAllReduceCodec(c, 0, ref, tensor.OpSum, compress.FP32{}); err != nil {
 			return err
 		}
 		data := mk()

@@ -142,42 +142,3 @@ func TestEncodeToFP16OddLengthsAndOffsets(t *testing.T) {
 		}
 	}
 }
-
-func TestEncodeToMatchesEncodeTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 2, 10, 100, 1000} {
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32(rng.NormFloat64())
-		}
-		for _, ratio := range []float64{0.01, 0.1, 1} {
-			codec := TopK{Ratio: ratio}
-			checkEncodeToProperties(t, codec, src, nil)
-			// Structural check of the appended bytes: header, ascending
-			// in-range indices, values bit-equal to the source.
-			enc := codec.Encode(src)
-			if n == 0 {
-				continue
-			}
-			if got := int(binary.LittleEndian.Uint32(enc[0:])); got != n {
-				t.Fatalf("topk n=%d ratio=%g: header count %d", n, ratio, got)
-			}
-			k := int(binary.LittleEndian.Uint32(enc[4:]))
-			if len(enc) != 8+8*k {
-				t.Fatalf("topk n=%d ratio=%g: %d bytes for k=%d", n, ratio, len(enc), k)
-			}
-			prev := -1
-			for e := 0; e < k; e++ {
-				idx := int(binary.LittleEndian.Uint32(enc[8+8*e:]))
-				if idx <= prev || idx >= n {
-					t.Fatalf("topk n=%d ratio=%g: index %d after %d", n, ratio, idx, prev)
-				}
-				prev = idx
-				v := binary.LittleEndian.Uint32(enc[12+8*e:])
-				if v != math.Float32bits(src[idx]) {
-					t.Fatalf("topk n=%d ratio=%g: value mismatch at %d", n, ratio, idx)
-				}
-			}
-		}
-	}
-}

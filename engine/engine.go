@@ -65,29 +65,6 @@ func (e *NaNError) Error() string {
 	return fmt.Sprintf("engine: gradient %q has a non-finite value at element %d", e.Name, e.Index)
 }
 
-// CoordinatorKind selects the gradient-readiness agreement protocol.
-type CoordinatorKind int
-
-// Supported coordinators.
-const (
-	// Decentralized is AIACC's min/AND ring all-reduce agreement.
-	Decentralized CoordinatorKind = iota + 1
-	// Master is the Horovod-style rank-0 coordinator baseline.
-	Master
-)
-
-// String implements fmt.Stringer.
-func (k CoordinatorKind) String() string {
-	switch k {
-	case Decentralized:
-		return "decentralized"
-	case Master:
-		return "master"
-	default:
-		return fmt.Sprintf("CoordinatorKind(%d)", int(k))
-	}
-}
-
 // Config tunes the engine. The zero value is invalid; start from
 // DefaultConfig. Streams and GranularityBytes are the two hyper-parameters
 // the auto-tuner (package autotune) searches over.
@@ -109,8 +86,6 @@ type Config struct {
 	// (§V-B). 0 and 1 mean every rank is its own node, which is the flat
 	// ring. A larger grouping must divide the world size.
 	GPUsPerNode int
-	// Coordinator selects the readiness agreement protocol.
-	Coordinator CoordinatorKind
 	// Codec is the wire codec (fp32 or fp16 compression).
 	Codec compress.Codec
 	// Average divides reduced gradients by the world size, yielding the
@@ -134,7 +109,6 @@ func DefaultConfig() Config {
 		Streams:          4,
 		GranularityBytes: 4 << 20,
 		GPUsPerNode:      1,
-		Coordinator:      Decentralized,
 		Codec:            compress.FP32{},
 		Average:          true,
 	}
@@ -148,8 +122,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: granularity %d bytes", ErrBadConfig, c.GranularityBytes)
 	case c.GPUsPerNode < 0:
 		return fmt.Errorf("%w: gpusPerNode %d", ErrBadConfig, c.GPUsPerNode)
-	case c.Coordinator != Decentralized && c.Coordinator != Master:
-		return fmt.Errorf("%w: coordinator %d", ErrBadConfig, int(c.Coordinator))
 	case c.Codec == nil:
 		return fmt.Errorf("%w: nil codec", ErrBadConfig)
 	case c.MinSyncBytes < 0:
@@ -306,7 +278,9 @@ func (e *Engine) Start() error {
 	}
 	e.packer = packer
 	e.local = gradsync.NewSyncVector(len(grads))
-	e.session = gradsync.NewSession(e.coordinator(), len(grads))
+	coord := gradsync.NewDecentralized(e.comm, e.syncStream())
+	coord.SetTrace(e.cfg.Trace)
+	e.session = gradsync.NewSession(coord, len(grads))
 	e.pushCh = make(chan push, len(grads))
 	e.data = make(map[int][]float32, len(grads))
 	e.remaining = make(map[int]int, len(grads))
@@ -322,17 +296,6 @@ func (e *Engine) syncStream() int { return e.cfg.Streams }
 
 // pushLane is the trace lane for gradient-push instants.
 func (e *Engine) pushLane() int { return e.cfg.Streams + 1 }
-
-func (e *Engine) coordinator() gradsync.Coordinator {
-	if e.cfg.Coordinator == Master {
-		m := gradsync.NewMaster(e.comm, e.syncStream())
-		m.SetTrace(e.cfg.Trace)
-		return m
-	}
-	d := gradsync.NewDecentralized(e.comm, e.syncStream())
-	d.SetTrace(e.cfg.Trace)
-	return d
-}
 
 // PushGradient hands a locally computed gradient to the engine. The tensor's
 // storage is shared with the engine until WaitIteration returns: the engine

@@ -126,7 +126,6 @@ func TestEngineConfigMatrix(t *testing.T) {
 		{name: "tiny-granularity", mut: func(c *Config) { c.GranularityBytes = 64; c.MinSyncBytes = 64 }, size: 3},
 		{name: "huge-granularity", mut: func(c *Config) { c.GranularityBytes = 1 << 26 }, size: 2},
 		{name: "hierarchical", mut: func(c *Config) { c.GPUsPerNode = 2 }, size: 4},
-		{name: "master-coordinator", mut: func(c *Config) { c.Coordinator = Master }, size: 3},
 		{name: "fp16", mut: func(c *Config) { c.Codec = compress.FP16{} }, size: 2},
 		{name: "no-average", mut: func(c *Config) { c.Average = false }, size: 2},
 	}
@@ -371,11 +370,11 @@ func TestEngineValidation(t *testing.T) {
 
 	bad := []Config{
 		{},
-		{Streams: 0, GranularityBytes: 1024, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 0, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, GPUsPerNode: -1, Coordinator: Decentralized, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Coordinator: 0, Codec: compress.FP32{}},
-		{Streams: 2, GranularityBytes: 1024, Coordinator: Decentralized},
+		{Streams: 0, GranularityBytes: 1024, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 0, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, GPUsPerNode: -1, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024, MinSyncBytes: -1, Codec: compress.FP32{}},
+		{Streams: 2, GranularityBytes: 1024},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEngine(comm, cfg); !errors.Is(err, ErrBadConfig) {

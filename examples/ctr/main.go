@@ -3,12 +3,13 @@
 // by an order of magnitude.
 //
 // The synthetic CTR model has thousands of small embedding-gradient tensors
-// and almost no compute. Part 1 demonstrates the mechanism *live*: the same
-// engine run with the decentralized coordinator and with the Horovod-style
-// master coordinator on a miniature CTR model (hundreds of tiny tensors),
-// comparing wall-clock per iteration. Part 2 replays the full-scale
-// production scenario (4096 embedding tables, 128 GPUs) on the cluster
-// simulator, reproducing the paper's 13.4x-class improvement.
+// and almost no compute. Part 1 runs the mechanism *live*: the engine's
+// decentralized bit-vector agreement on a miniature CTR model (hundreds of
+// tiny tensors), timing wall-clock per iteration. Part 2 replays the
+// full-scale production scenario (4096 embedding tables, 128 GPUs) on the
+// cluster simulator against the Horovod-style master coordinator,
+// reproducing the paper's 13.4x-class improvement. (aiacc-bench -experiment
+// ablation-sync times both agreement protocols live, side by side.)
 //
 //	go run ./examples/ctr
 package main
@@ -38,8 +39,8 @@ func main() {
 	}
 }
 
-// livePart runs a miniature CTR iteration (400 tiny embedding tensors) under
-// both coordinators on 4 live workers and compares iteration latency.
+// livePart runs a miniature CTR iteration (400 tiny embedding tensors) on 4
+// live workers and reports iteration latency.
 func livePart() error {
 	const (
 		workers = 4
@@ -48,80 +49,68 @@ func livePart() error {
 		dim     = 8
 		iters   = 5
 	)
-	fmt.Printf("live mini-CTR: %d embedding tensors x %d workers, %d iterations per coordinator\n",
+	fmt.Printf("live mini-CTR: %d embedding tensors x %d workers, %d iterations\n",
 		tables, workers, iters)
 
-	runWith := func(extra ...perseus.Option) (time.Duration, error) {
-		opts := append([]perseus.Option{
-			perseus.WithStreams(4),
-			perseus.WithGranularity(64 << 10),
-		}, extra...)
-		streams, err := perseus.RequiredStreams(opts...)
-		if err != nil {
-			return 0, err
-		}
-		net, err := transport.NewMem(workers, streams)
-		if err != nil {
-			return 0, err
-		}
-		defer func() { _ = net.Close() }()
+	opts := []perseus.Option{
+		perseus.WithStreams(4),
+		perseus.WithGranularity(64 << 10),
+	}
+	streams, err := perseus.RequiredStreams(opts...)
+	if err != nil {
+		return err
+	}
+	net, err := transport.NewMem(workers, streams)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = net.Close() }()
 
-		start := time.Now()
-		var wg sync.WaitGroup
-		errc := make(chan error, workers)
-		for r := 0; r < workers; r++ {
-			ep, err := net.Endpoint(r)
+	start := time.Now()
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for r := 0; r < workers; r++ {
+		ep, err := net.Endpoint(r)
+		if err != nil {
+			return err
+		}
+		wg.Add(1)
+		go func(rank int, ep transport.Endpoint) {
+			defer wg.Done()
+			s, err := perseus.NewSession(ep, opts...)
 			if err != nil {
-				return 0, err
+				errc <- err
+				return
 			}
-			wg.Add(1)
-			go func(rank int, ep transport.Endpoint) {
-				defer wg.Done()
-				s, err := perseus.NewSession(ep, opts...)
-				if err != nil {
+			defer func() { _ = s.Close() }()
+			grads := make(map[string]*tensor.Tensor, tables)
+			for i := 0; i < tables; i++ {
+				name := fmt.Sprintf("emb%04d.weight", i)
+				if err := s.Register(name, rows*dim); err != nil {
 					errc <- err
 					return
 				}
-				defer func() { _ = s.Close() }()
-				grads := make(map[string]*tensor.Tensor, tables)
-				for i := 0; i < tables; i++ {
-					name := fmt.Sprintf("emb%04d.weight", i)
-					if err := s.Register(name, rows*dim); err != nil {
-						errc <- err
-						return
-					}
-					grads[name] = tensor.Filled(float32(rank), rows*dim)
-				}
-				if err := s.Start(); err != nil {
+				grads[name] = tensor.Filled(float32(rank), rows*dim)
+			}
+			if err := s.Start(); err != nil {
+				errc <- err
+				return
+			}
+			for it := 0; it < iters; it++ {
+				if err := s.AllReduce(grads); err != nil {
 					errc <- err
 					return
 				}
-				for it := 0; it < iters; it++ {
-					if err := s.AllReduce(grads); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}(r, ep)
-		}
-		wg.Wait()
-		close(errc)
-		for err := range errc {
-			return 0, err
-		}
-		return time.Since(start) / iters, nil
+			}
+		}(r, ep)
 	}
-
-	decentralized, err := runWith()
-	if err != nil {
+	wg.Wait()
+	close(errc)
+	for err := range errc {
 		return err
 	}
-	master, err := runWith(perseus.WithMasterCoordinator())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  decentralized sync: %v/iter\n", decentralized.Round(time.Microsecond))
-	fmt.Printf("  master sync:        %v/iter\n\n", master.Round(time.Microsecond))
+	perIter := time.Since(start) / iters
+	fmt.Printf("  decentralized sync: %v/iter\n\n", perIter.Round(time.Microsecond))
 	return nil
 }
 

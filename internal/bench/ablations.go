@@ -2,21 +2,31 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"aiacc/cluster"
+	"aiacc/internal/gradsync"
 	"aiacc/internal/stats"
 	"aiacc/model"
+	"aiacc/mpi"
+	"aiacc/transport"
 )
 
 // AblationSync isolates the synchronization protocol: identical AIACC
-// engines with decentralized vs master-based readiness agreement.
+// engines with decentralized vs master-based readiness agreement, simulated
+// at paper scale, plus the two agreement protocols themselves timed live on
+// the in-process transport.
 func (s *Suite) AblationSync() (Table, error) {
 	t := Table{
 		ID:     "ablation-sync",
 		Title:  "Ablation: decentralized vs master gradient synchronization",
-		Header: []string{"model", "gpus", "decentralized samples/s", "master samples/s", "gain"},
-		Notes:  []string{"the master coordinator's cost grows with workers and tensor count (§V-A)"},
+		Header: []string{"arm", "model", "ranks", "decentralized", "master", "gain"},
+		Notes: []string{
+			"the master coordinator's cost grows with workers and tensor count (§V-A)",
+			"sim rows: simulated samples/s of whole AIACC engines; gain = decentralized/master throughput",
+			"live rows: one agreement round on a vector of the model's tensor count, min of 3 trials; gain = master/decentralized time",
+		},
 	}
 	cases := []struct {
 		m    model.Model
@@ -40,12 +50,88 @@ func (s *Suite) AblationSync() (Table, error) {
 			return t, err
 		}
 		t.Rows = append(t.Rows, []string{
-			c.m.Name, fmt.Sprintf("%d", c.gpus),
+			"sim samples/s", c.m.Name, fmt.Sprintf("%d", c.gpus),
 			fmtTput(decRes.Throughput), fmtTput(masRes.Throughput),
 			fmtX(stats.Speedup(masRes.Throughput, decRes.Throughput)),
 		})
 	}
+	ctr := model.CTR()
+	for _, ranks := range []int{4, 16} {
+		dec, err := runLiveAgree(ranks, ctr.NumGradients(), false)
+		if err != nil {
+			return t, fmt.Errorf("live decentralized agreement at %d ranks: %w", ranks, err)
+		}
+		mas, err := runLiveAgree(ranks, ctr.NumGradients(), true)
+		if err != nil {
+			return t, fmt.Errorf("live master agreement at %d ranks: %w", ranks, err)
+		}
+		t.Rows = append(t.Rows, []string{
+			"live us/round", ctr.Name, fmt.Sprintf("%d", ranks),
+			fmtMicros(dec), fmtMicros(mas),
+			fmtX(stats.Speedup(dec.Seconds(), mas.Seconds())),
+		})
+	}
 	return t, nil
+}
+
+// runLiveAgree times agreement rounds of one protocol — the decentralized
+// AND ring or the rank-0 master — with every rank a goroutine over the
+// in-process transport and every rank contributing a fully set vector of n
+// bits. It returns the per-round wall time of the fastest of three trials.
+func runLiveAgree(ranks, n int, master bool) (time.Duration, error) {
+	const trials, rounds = 3, 100
+	net, err := transport.NewMem(ranks, 1)
+	if err != nil {
+		return 0, err
+	}
+	defer func() { _ = net.Close() }()
+	// Agree only reads the local vector, so every rank shares one.
+	local := gradsync.NewSyncVector(n)
+	for id := 0; id < n; id++ {
+		if err := local.Set(id); err != nil {
+			return 0, err
+		}
+	}
+	coords := make([]gradsync.Coordinator, ranks)
+	for r := range coords {
+		ep, err := net.Endpoint(r)
+		if err != nil {
+			return 0, err
+		}
+		comm := mpi.NewWorld(ep)
+		if master {
+			coords[r] = gradsync.NewMaster(comm, 0)
+		} else {
+			coords[r] = gradsync.NewDecentralized(comm, 0)
+		}
+	}
+	best := time.Duration(1<<62 - 1)
+	for trial := 0; trial < trials; trial++ {
+		start := time.Now()
+		var wg sync.WaitGroup
+		errc := make(chan error, ranks)
+		for r := range coords {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if _, err := coords[r].Agree(local); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			return 0, err
+		}
+		if d := time.Since(start) / rounds; d < best {
+			best = d
+		}
+	}
+	return best, nil
 }
 
 // AblationStreams sweeps the concurrent stream count on a

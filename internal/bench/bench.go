@@ -213,3 +213,5 @@ func fmtTput(v float64) string { return fmt.Sprintf("%.0f", v) }
 func fmtX(v float64) string { return fmt.Sprintf("%.2fx", v) }
 
 func fmtDur(d time.Duration) string { return d.Round(time.Microsecond).String() }
+
+func fmtMicros(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()*1e6) }

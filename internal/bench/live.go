@@ -27,7 +27,8 @@ func (s *Suite) Live() (Table, error) {
 		Header: []string{"configuration", "workers", "grad volume", "ms/iter",
 			"sync rounds/iter", "units/iter"},
 		Notes: []string{
-			"wall-clock on the host machine; shapes (multi-stream vs single, decentralized vs master) are the signal",
+			"wall-clock on the host machine; shapes (multi-stream vs single, engine vs parameter server) are the signal",
+			"the decentralized vs master agreement comparison runs live in ablation-sync",
 		},
 	}
 	m := model.TinyMLP() // small enough for CI; real tensor layout
@@ -41,10 +42,6 @@ func (s *Suite) Live() (Table, error) {
 	variants := []variant{
 		{name: "aiacc 4 streams decentralized", mut: func(c *engine.Config) { c.Streams = 4 }},
 		{name: "aiacc 1 stream decentralized", mut: func(c *engine.Config) { c.Streams = 1 }},
-		{name: "aiacc 4 streams master-coordinator", mut: func(c *engine.Config) {
-			c.Streams = 4
-			c.Coordinator = engine.Master
-		}},
 		{name: "parameter server (byteps-style)", ps: true},
 	}
 	for _, v := range variants {
@@ -182,27 +179,26 @@ func runLiveVariant(m model.Model, workers, iters int, mut func(*engine.Config),
 
 // SegSweep measures the pipelined segmented ring all-reduce over real TCP
 // sockets across a sweep of wire segment sizes: 4 ranks all-reduce an fp16-
-// compressed payload, comparing the serial reference protocol (whole-chunk
-// frames, all-gather re-encode) against the pipelined ring at several
-// segment sizes. Each variant reports the min of several trials (PR 3
-// methodology: min-of-trials over a same-binary A/B).
+// compressed payload, comparing the ring with one segment per chunk
+// (seg=off, no pipelining) against the ring at several segment sizes. Each
+// variant reports the min of several trials (min-of-trials over a
+// same-binary A/B).
 func (s *Suite) SegSweep() (Table, error) {
 	t := Table{
-		ID:    "segsweep",
-		Title: "Live segmented ring all-reduce over TCP (fp16, 4 ranks): segment-size sweep",
-		Header: []string{"variant", "payload", "ms/op (min of 3)", "speedup vs reference"},
+		ID:     "segsweep",
+		Title:  "Live segmented ring all-reduce over TCP (fp16, 4 ranks): segment-size sweep",
+		Header: []string{"variant", "payload", "ms/op (min of 3)", "speedup vs seg=off"},
 		Notes: []string{
-			"reference = pre-pipelining serial protocol; seg=off = pipelined machinery, one segment per chunk",
+			"seg=off = one segment per chunk: the no-pipelining baseline",
 			"wall-clock on the host loopback; the verbatim all-gather forwarding and codec overlap are the signal",
 		},
 	}
 	const elems = 1 << 20 // 4 MiB fp32, 2 MiB on the wire
 	type variant struct {
 		name     string
-		segBytes int64 // 0 = serial reference protocol
+		segBytes int64
 	}
 	variants := []variant{
-		{name: "reference", segBytes: 0},
 		{name: "seg=off", segBytes: 1 << 30},
 		{name: "seg=64KiB", segBytes: 64 << 10},
 		{name: "seg=128KiB", segBytes: 128 << 10},
@@ -210,12 +206,12 @@ func (s *Suite) SegSweep() (Table, error) {
 		{name: "seg=1MiB", segBytes: 1 << 20},
 	}
 	var ref time.Duration
-	for _, v := range variants {
+	for i, v := range variants {
 		best, err := runSegVariant(elems, v.segBytes, 3)
 		if err != nil {
 			return t, fmt.Errorf("segsweep %s: %w", v.name, err)
 		}
-		if v.name == "reference" {
+		if i == 0 {
 			ref = best
 		}
 		t.Rows = append(t.Rows, []string{
@@ -228,8 +224,7 @@ func (s *Suite) SegSweep() (Table, error) {
 }
 
 // runSegVariant times `trials` fp16 ring all-reduces of `elems` floats on 4
-// TCP ranks and returns the fastest trial. segBytes == 0 selects the serial
-// reference protocol.
+// TCP ranks and returns the fastest trial.
 func runSegVariant(elems int, segBytes int64, trials int) (time.Duration, error) {
 	const ranks = 4
 	net, err := transport.NewTCP(ranks, 1)
@@ -263,13 +258,8 @@ func runSegVariant(elems int, segBytes int64, trials int) (time.Duration, error)
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				var err error
-				if segBytes == 0 {
-					err = collective.RingAllReduceCodecReference(comms[r], 0, datas[r], tensor.OpMax, compress.FP16{})
-				} else {
-					err = collective.RingAllReduceCodec(comms[r], 0, datas[r], tensor.OpMax, compress.FP16{},
-						collective.WithSegmentBytes(segBytes))
-				}
+				err := collective.RingAllReduceCodec(comms[r], 0, datas[r], tensor.OpMax, compress.FP16{},
+					collective.WithSegmentBytes(segBytes))
 				if err != nil {
 					errc <- err
 				}

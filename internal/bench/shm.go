@@ -24,8 +24,8 @@ import (
 // should win by an order of magnitude on co-located processes.
 func (s *Suite) ShmLoopback() (Table, error) {
 	t := Table{
-		ID:    "shm-loopback",
-		Title: "Intra-host transport A/B: shm ring vs TCP loopback, one-way stream",
+		ID:     "shm-loopback",
+		Title:  "Intra-host transport A/B: shm ring vs TCP loopback, one-way stream",
 		Header: []string{"frame", "shm MB/s", "tcp MB/s", "speedup"},
 		Notes: []string{
 			"best of 3 trials per arm; one sender, one receiver, pooled buffers both sides",
@@ -109,18 +109,18 @@ func runLoopbackArm(size int, mk func() (transport.Network, error)) (float64, er
 
 // Hierarchy is the two-level schedule's live A/B on its target topology —
 // 2 hosts × 4 ranks, shm rings inside each host, TCP loopback across — with
-// the cluster simulator's prediction for the same shape alongside. Three live
-// arms share one binary and one network: the flat pipelined ring, the
-// leader-funnel reference hierarchy, and the overlapped two-level schedule.
+// the cluster simulator's prediction for the same shape alongside. Two live
+// arms share one binary and one network: the flat pipelined ring and the
+// overlapped two-level schedule.
 func (s *Suite) Hierarchy() (Table, error) {
 	t := Table{
-		ID:    "hierarchy",
-		Title: "Two-level hierarchical all-reduce vs flat ring (2 hosts x 4 ranks, shm intra / TCP inter)",
+		ID:     "hierarchy",
+		Title:  "Two-level hierarchical all-reduce vs flat ring (2 hosts x 4 ranks, shm intra / TCP inter)",
 		Header: []string{"variant", "payload", "ms/op (min of 3)", "speedup vs flat"},
 		Notes: []string{
 			"live arms run real bytes over shm rings intra-host and TCP loopback inter-host",
 			"sim rows are the cluster model's prediction on netmodel.TwoTierLoopback(2,4) with VGG16",
-			"reference = intra ring + leader ring + broadcast; two-level = reduce-scatter / shard ring / all-gather, pipelined",
+			"two-level = intra reduce-scatter / cross-node shard ring / intra all-gather, pipelined",
 		},
 	}
 	const hosts, perHost, elems = 2, 4, 1 << 20 // 4 MiB fp32
@@ -130,13 +130,10 @@ func (s *Suite) Hierarchy() (Table, error) {
 	}
 	variants := []variant{
 		{name: "flat ring", run: func(c *mpi.Comm, data []float32) error {
-			return collective.RingAllReduce(c, 0, data, tensor.OpSum)
-		}},
-		{name: "hier reference", run: func(c *mpi.Comm, data []float32) error {
-			return collective.HierarchicalAllReduceCodecReference(c, 0, perHost, data, tensor.OpSum, compress.FP32{})
+			return collective.RingAllReduceCodec(c, 0, data, tensor.OpSum, compress.FP32{})
 		}},
 		{name: "two-level", run: func(c *mpi.Comm, data []float32) error {
-			return collective.HierarchicalAllReduce(c, 0, perHost, data, tensor.OpSum)
+			return collective.HierarchicalAllReduceCodec(c, 0, perHost, data, tensor.OpSum, compress.FP32{})
 		}},
 	}
 	var flat time.Duration

@@ -14,8 +14,7 @@
 // Ownership rules are the transport's: a buffer passed to Put must be
 // exclusively owned by the caller and is immediately eligible for reuse by
 // any goroutine in the process. Buffers smaller than the minimum size class
-// are never pooled; mpi.Barrier relies on this floor to reuse its 1-byte
-// token across rounds without the pool ever handing it to someone else.
+// are never pooled.
 package bufpool
 
 import (

@@ -92,12 +92,6 @@ func NewPacker(granularityBytes int64) (*Packer, error) {
 	return &Packer{granularity: int(granularityBytes / 4)}, nil
 }
 
-// Granularity returns the unit size in elements.
-//
-// Deprecated: the name is ambiguous about units (the constructor takes
-// bytes); use GranularityElems or GranularityBytes.
-func (p *Packer) Granularity() int { return p.granularity }
-
 // GranularityElems returns the unit size in float32 elements.
 func (p *Packer) GranularityElems() int { return p.granularity }
 
@@ -218,17 +212,4 @@ func Scatter(u Unit, lookup func(id int) ([]float32, error), buf []float32) erro
 		pos += f.Elems
 	}
 	return nil
-}
-
-// FragmentsPerGradient returns how many fragments each gradient id
-// contributes across the units — used by completion tracking to know when a
-// gradient is fully reduced.
-func FragmentsPerGradient(units []Unit) map[int]int {
-	out := make(map[int]int)
-	for _, u := range units {
-		for _, f := range u.Fragments {
-			out[f.GradID]++
-		}
-	}
-	return out
 }

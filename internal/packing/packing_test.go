@@ -38,8 +38,8 @@ func TestNewPackerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Granularity() != 1024 {
-		t.Errorf("Granularity = %d elements, want 1024", p.Granularity())
+	if p.GranularityElems() != 1024 {
+		t.Errorf("GranularityElems = %d elements, want 1024", p.GranularityElems())
 	}
 }
 
@@ -102,9 +102,14 @@ func TestPackMixedSplitAndMerge(t *testing.T) {
 	if units[0].Elems != 8 || units[1].Elems != 8 || units[2].Elems != 3 {
 		t.Errorf("unit sizes = %d,%d,%d", units[0].Elems, units[1].Elems, units[2].Elems)
 	}
-	frags := FragmentsPerGradient(units)
+	frags := map[int]int{}
+	for _, u := range units {
+		for _, f := range u.Fragments {
+			frags[f.GradID]++
+		}
+	}
 	if frags[0] != 1 || frags[1] != 3 || frags[2] != 1 {
-		t.Errorf("FragmentsPerGradient = %v", frags)
+		t.Errorf("fragments per gradient = %v", frags)
 	}
 }
 
@@ -224,8 +229,8 @@ func TestPackInvariants(t *testing.T) {
 			if u.Seq != start+i {
 				t.Fatalf("trial %d: unit %d seq = %d, want %d", trial, i, u.Seq, start+i)
 			}
-			if u.Elems > p.Granularity() {
-				t.Fatalf("trial %d: unit %d has %d elems > granularity %d", trial, i, u.Elems, p.Granularity())
+			if u.Elems > p.GranularityElems() {
+				t.Fatalf("trial %d: unit %d has %d elems > granularity %d", trial, i, u.Elems, p.GranularityElems())
 			}
 			sum := 0
 			for _, f := range u.Fragments {

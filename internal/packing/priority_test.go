@@ -23,10 +23,6 @@ func TestPackerGranularityUnits(t *testing.T) {
 	if got := p.GranularityBytes(); got != 8<<20 {
 		t.Errorf("GranularityBytes() = %d, want %d", got, 8<<20)
 	}
-	if p.Granularity() != p.GranularityElems() {
-		t.Errorf("Granularity() = %d must alias GranularityElems() = %d",
-			p.Granularity(), p.GranularityElems())
-	}
 	// The intended engine-facing behavior: a 4 MiB granularity packs units
 	// of at most 1 Mi elements.
 	p4, _ := NewPacker(4 << 20)

@@ -68,8 +68,7 @@ func TestUint64sAgainstBinary(t *testing.T) {
 }
 
 // Conversions must work on unaligned byte offsets: payloads routinely carry
-// typed data at arbitrary positions (e.g. the top-k codec's 8-byte header
-// followed by index/value pairs).
+// typed data at arbitrary positions (e.g. behind a header of any length).
 func TestUnalignedByteOffsets(t *testing.T) {
 	src := []float32{1.5, -2.25, 3.75}
 	buf := make([]byte, 4*len(src)+1)

@@ -2,7 +2,7 @@
 // transport layer. AIACC-Training runs one MPI process per GPU worker
 // (paper Fig. 4); here a Comm plays that role: it gives each worker a rank, a
 // world size, point-to-point messaging, sub-communicators (e.g. the per-node
-// groups used by the hierarchical all-reduce) and a barrier.
+// groups used by the hierarchical all-reduce) and abort signalling.
 //
 // Matching semantics follow classic MPI with a single implicit tag per
 // stream: messages between a fixed (peer, stream) pair match in FIFO order.
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"aiacc/internal/sendpool"
 	"aiacc/transport"
 )
 
@@ -153,20 +152,6 @@ func (c *Comm) NodeGroup(gpusPerNode int) (*Comm, error) {
 	return c.Subgroup(ranks)
 }
 
-// LeaderGroup derives the sub-communicator of node leaders (the first rank
-// of each node), assuming gpusPerNode consecutive global ranks per node.
-// Returns ErrNotMember for non-leader callers.
-func (c *Comm) LeaderGroup(gpusPerNode int) (*Comm, error) {
-	if gpusPerNode <= 0 {
-		return nil, fmt.Errorf("%w: gpusPerNode %d", ErrBadGroup, gpusPerNode)
-	}
-	var leaders []int
-	for g := 0; g < c.ep.Size(); g += gpusPerNode {
-		leaders = append(leaders, g)
-	}
-	return c.Subgroup(leaders)
-}
-
 // CrossNodeGroup derives the sub-communicator of the ranks sharing this
 // rank's node-local index across all nodes — {j, g+j, 2g+j, ...} for local
 // index j — assuming gpusPerNode consecutive global ranks per node. Every
@@ -185,49 +170,4 @@ func (c *Comm) CrossNodeGroup(gpusPerNode int) (*Comm, error) {
 		ranks = append(ranks, g)
 	}
 	return c.Subgroup(ranks)
-}
-
-// barrierToken is the one-byte payload every barrier round exchanges. It is
-// deliberately shared across rounds, ranks and Barrier calls even though Send
-// normally transfers exclusive payload ownership: barrier receivers discard
-// the payload without reading, retaining, or recycling it, and the token's
-// capacity sits below internal/bufpool's minimum size class, so no transport
-// (including the TCP data plane, which recycles written payloads into that
-// pool) will ever hand the token's storage to another owner.
-var barrierToken = []byte{1}
-
-// Barrier blocks until every member of the communicator has entered it, using
-// a dissemination barrier: ceil(log2(n)) rounds of paired send/recv. The
-// concurrent send of each round runs on a pooled persistent sender rather
-// than a fresh goroutine per round.
-func (c *Comm) Barrier(stream int) error {
-	n := len(c.group)
-	if n == 1 {
-		return nil
-	}
-	a := sendpool.Acquire()
-	inflight := false
-	defer func() {
-		if inflight {
-			sendpool.Abandon(a)
-		} else {
-			sendpool.Release(a)
-		}
-	}()
-	token := barrierToken
-	for dist := 1; dist < n; dist *= 2 {
-		to := (c.rank + dist) % n
-		from := (c.rank - dist%n + n) % n
-		a.Send(c, to, stream, token)
-		inflight = true
-		if _, err := c.Recv(from, stream); err != nil {
-			return fmt.Errorf("barrier recv: %w", err)
-		}
-		if err := a.Wait(); err != nil {
-			inflight = false
-			return fmt.Errorf("barrier send: %w", err)
-		}
-		inflight = false
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"aiacc/transport"
@@ -138,20 +137,6 @@ func TestNodeGroupRagged(t *testing.T) {
 	}
 }
 
-func TestLeaderGroup(t *testing.T) {
-	comms := worldComms(t, 8, 1)
-	sub, err := comms[4].LeaderGroup(4) // leaders are global 0 and 4
-	if err != nil {
-		t.Fatalf("LeaderGroup: %v", err)
-	}
-	if sub.Size() != 2 || sub.Rank() != 1 {
-		t.Errorf("leader group = size %d rank %d, want 2/1", sub.Size(), sub.Rank())
-	}
-	if _, err := comms[1].LeaderGroup(4); !errors.Is(err, ErrNotMember) {
-		t.Errorf("non-leader error = %v", err)
-	}
-}
-
 func TestCrossNodeGroup(t *testing.T) {
 	comms := worldComms(t, 8, 1) // two "nodes" of 4
 	for r, c := range comms {
@@ -178,64 +163,5 @@ func TestCrossNodeGroup(t *testing.T) {
 	}
 	if _, err := comms[0].CrossNodeGroup(0); !errors.Is(err, ErrBadGroup) {
 		t.Errorf("CrossNodeGroup(0) error = %v", err)
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 4, 7, 8} {
-		comms := worldComms(t, size, 1)
-		var wg sync.WaitGroup
-		errc := make(chan error, size)
-		for _, c := range comms {
-			wg.Add(1)
-			go func(c *Comm) {
-				defer wg.Done()
-				for iter := 0; iter < 3; iter++ {
-					if err := c.Barrier(0); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		close(errc)
-		for err := range errc {
-			t.Errorf("size %d: %v", size, err)
-		}
-	}
-}
-
-// Barrier must actually synchronize: no rank may exit the barrier before
-// every rank has entered it.
-func TestBarrierSynchronizes(t *testing.T) {
-	const size = 5
-	comms := worldComms(t, size, 1)
-	var mu sync.Mutex
-	entered := 0
-	violation := false
-
-	var wg sync.WaitGroup
-	for _, c := range comms {
-		wg.Add(1)
-		go func(c *Comm) {
-			defer wg.Done()
-			mu.Lock()
-			entered++
-			mu.Unlock()
-			if err := c.Barrier(0); err != nil {
-				t.Errorf("barrier: %v", err)
-				return
-			}
-			mu.Lock()
-			if entered != size {
-				violation = true
-			}
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	if violation {
-		t.Error("a rank left the barrier before all ranks entered")
 	}
 }

@@ -76,16 +76,6 @@ func WithHierarchicalAllReduce(gpusPerNode int) Option {
 	}
 }
 
-// WithMasterCoordinator selects the Horovod-style rank-0 readiness
-// coordinator instead of AIACC's decentralized agreement — the ablation knob
-// for the paper's scalability comparison.
-func WithMasterCoordinator() Option {
-	return func(c *engine.Config) error {
-		c.Coordinator = engine.Master
-		return nil
-	}
-}
-
 // WithFP16Compression transmits gradients as IEEE binary16, halving wire
 // traffic; reductions still run in fp32.
 func WithFP16Compression() Option {

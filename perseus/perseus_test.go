@@ -194,19 +194,6 @@ func TestOptionsApplyAndValidate(t *testing.T) {
 	})
 }
 
-func TestMasterCoordinatorOption(t *testing.T) {
-	runSessions(t, 3, []Option{WithMasterCoordinator()}, func(s *Session) error {
-		if err := s.Register("w", 10); err != nil {
-			return err
-		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		g := tensor.Filled(3, 10)
-		return s.AllReduce(map[string]*tensor.Tensor{"w": g})
-	})
-}
-
 func TestNaNDetectionOption(t *testing.T) {
 	runSessions(t, 1, []Option{WithNaNDetection()}, func(s *Session) error {
 		if err := s.Register("w", 4); err != nil {

@@ -312,8 +312,7 @@ type outFrame struct {
 // After a frame is written the payload's ownership has fully left the
 // process-visible world (the bytes are in the kernel), so the writer recycles
 // it into the wire pool — that is what closes the zero-allocation loop with
-// the pooled receive path. The pool's minimum size class protects
-// deliberately shared tiny payloads (mpi.Barrier's token) from being reused.
+// the pooled receive path.
 // Control-frame bodies are never pooled and never recycled.
 type connWriter struct {
 	mu      sync.Mutex
